@@ -12,7 +12,7 @@ Subcommands:
 Exponents are exact rationals written as "num/den" (or a bare integer);
 floating-point forms are rejected. JSON output is canonical (sorted keys);
 repeated runs with the same arguments produce byte-identical reports.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain or internal error (incl. out of memory), 2 usage error.
 """
 
 from __future__ import annotations
@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     config = _config_dict(args)
     try:
         result, diagnostics = _HANDLERS[args.command](args)
-    except (Error, ValueError, OverflowError) as exc:
+    except (Error, ValueError, OverflowError, RuntimeError, MemoryError) as exc:
         err_doc = {
             "version": __version__,
             "config": _json_safe(config),

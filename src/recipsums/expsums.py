@@ -19,6 +19,7 @@ import numpy as np
 
 from .convolve import cyclic_convolve_exact, cyclic_power_exact
 from .errors import BoundViolated, NonPositiveBeta
+from .growth import product_counts
 from .sets import ResidueSet
 
 
@@ -131,12 +132,7 @@ def compute_J(beta: Fraction | float) -> int:
 
 def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
     """w[m] = number of ordered pairs (t1, t2) in T x T with t1*t2 = m mod p."""
-    p = t.field.p
-    w = np.zeros(p, dtype=np.int64)
-    members = t.members()
-    for t1 in members:
-        w += np.bincount((int(t1) * members) % p, minlength=p)
-    return w
+    return product_counts(t, t)
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,7 @@ def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
     if j < 1:
         raise ValueError("J must be >= 1")
     p = t.field.p
-    w = [int(v) for v in pair_product_multiplicity(t)]
-    counts = cyclic_power_exact(w, j, p)
+    counts = cyclic_power_exact(pair_product_multiplicity(t), j, p).tolist()
     mass = sum(counts)
     expected = (t.card * t.card) ** j
     if mass != expected:
@@ -235,10 +230,9 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
 def minimal_covering_J(t: ResidueSet, j_cap: int = 64) -> int | None:
     """Smallest J whose covering counts are all positive, or None below j_cap."""
     p = t.field.p
-    w = [int(v) for v in pair_product_multiplicity(t)]
-    counts = list(w)
+    counts = w = pair_product_multiplicity(t)
     for j in range(1, j_cap + 1):
-        if min(counts) > 0:
+        if counts.min() > 0:
             return j
         counts = cyclic_convolve_exact(counts, w, p)
     return None

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import cyclic_counts_01
+from .convolve import cyclic_convolve_exact
 from .errors import IterationCap, NonPositiveTheta, Stalled
 from .sets import ResidueSet, require_same_field
 
@@ -47,8 +47,7 @@ def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 def sumset_conv(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod p} via exact cyclic convolution of characteristic vectors."""
     p = require_same_field(a, b).p
-    counts = cyclic_counts_01(a.bits, b.bits, p)
-    return ResidueSet(a.field, counts > 0)
+    return ResidueSet(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
@@ -117,25 +116,28 @@ def productset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     return ResidueSet(a.field, bits)
 
 
-def productset_dlog(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """{x * y mod p} via discrete logs: multiplication becomes an additive
-    cyclic convolution on Z/(p-1)Z; zero is handled separately."""
+def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
+    """c[m] = number of pairs (x, y) in A x B with x * y = m mod p. Discrete
+    logs make the nonzero products an additive cyclic convolution on
+    Z/(p-1)Z; every pair with a zero factor lands on 0."""
     p = require_same_field(a, b).p
     powers, dlog = _dlog_tables(p)
     am, bm = a.members(), b.members()
     an = am[am != 0]
     bn = bm[bm != 0]
-    bits = np.zeros(p, dtype=bool)
-    if an.size and bn.size:
-        ae = np.zeros(p - 1, dtype=bool)
-        ae[dlog[an]] = True
-        be = np.zeros(p - 1, dtype=bool)
-        be[dlog[bn]] = True
-        counts = cyclic_counts_01(ae, be, p - 1)
-        bits[powers[counts > 0]] = True
-    if (0 in a and b.card > 0) or (0 in b and a.card > 0):
-        bits[0] = True
-    return ResidueSet(a.field, bits)
+    ae = np.zeros(p - 1, dtype=bool)
+    ae[dlog[an]] = True
+    be = np.zeros(p - 1, dtype=bool)
+    be[dlog[bn]] = True
+    counts = np.zeros(p, dtype=np.uint64)
+    counts[powers] = cyclic_convolve_exact(ae, be, p - 1)
+    counts[0] = a.card * b.card - an.size * bn.size
+    return counts
+
+
+def productset_dlog(a: ResidueSet, b: ResidueSet) -> ResidueSet:
+    """{x * y mod p} from the discrete-log product counts."""
+    return ResidueSet(a.field, product_counts(a, b) > 0)
 
 
 def productset(a: ResidueSet, b: ResidueSet) -> ResidueSet:

@@ -16,13 +16,16 @@ try:
 except ImportError:  # pragma: no cover
     _HAS_GMPY2 = False
 
-# Witness set sufficient for a deterministic Miller-Rabin verdict on all
-# inputs below 3.3 * 10^24, which covers every 64-bit integer.
+# Bases 2..37 give a deterministic Miller-Rabin verdict below
+# _MR_CERTIFIED_BELOW = 399165290221 * 798330580441, the smallest strong
+# pseudoprime to all of them; every 64-bit integer lies below it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_CERTIFIED_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 64-bit inputs."""
+    """Deterministic Miller-Rabin test. An n >= _MR_CERTIFIED_BELOW that
+    passes every base raises ValueError: its prime verdict would be a guess."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -43,6 +46,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_CERTIFIED_BELOW:
+        raise ValueError(f"{n} passes Miller-Rabin to bases 2..37; primality is not certified")
     return True
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from recipsums import cli
 from recipsums.cli import main
 
 
@@ -172,3 +174,51 @@ def test_json_byte_determinism(capsys):
     code2, out2 = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of stdout pinned before the dense kernels shared one convolution;
+# the last command sums uint64 intermediates past 2^64, the one before it
+# carries 184-bit covering counts (J = 13).
+GOLDEN = {
+    "represent --p 30011 --k 1 --epsilon 1/1 --a 2683":
+        "516c35a760180305e6f267cb9b1308b7e18479d43486533d487f1f62a039d3ee",
+    "nmax --p 1009 --k 2 --epsilon 1/3":
+        "8dde6a2a5315c6de31156b3cd97c6ce292849785aa56a187df5f7e326d0a72e2",
+    "scan --primes 2..300 --k 1 --epsilon 1/2 --format csv":
+        "bbac9856ed46720e14956eb9d25e5f846748a0bfd12d57b3ddd55e88d94c60b9",
+    "grow --p 10007 --k 1 --beta 1/4":
+        "43b9483bfb6c48f2838e09a25f542fb882dc60bbe17df611b8f1d151eecba9d3",
+    "expsum --p 1009 --grow --auto-J":
+        "2d65913a62ac0ef35130c8ffd03eeaf2f5c485e70d9eca9d60b4d41a94dd0786",
+    "expsum --p 2003 --random-size 300 --J 5 --min-J --seed 3":
+        "167978939e804e05dbcd5f2e2b3ffb532bb8e2e1ad648cdfdde548909460544b",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+def test_uncertified_prime_exit_1(capsys):
+    code, out = run_cli(capsys, "baseset", "--p", "3317044064679887385961981", "--k", "1",
+                        "--beta", "1/20", "--u", "1")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert "certif" in error["message"]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("covering mass 1 != 2; kernel bug"), MemoryError()])
+def test_internal_failure_exit_1(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "grow", fail)
+    code, out = run_cli(capsys, "grow", "--p", "101", "--k", "1", "--beta", "1/4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == {"type": type(exc).__name__, "message": str(exc)}
+    assert doc["config"]["command"] == "grow"

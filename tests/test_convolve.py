@@ -1,0 +1,109 @@
+import random
+
+import numpy as np
+import pytest
+
+from recipsums.convolve import cyclic_convolve_exact, cyclic_power_exact
+
+
+def convolve_py(a, b):
+    """O(n^2) cyclic convolution in Python ints."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % n] += int(x) * int(y)
+    return out
+
+
+def power_py(a, j):
+    out = list(a)
+    for _ in range(j - 1):
+        out = convolve_py(out, a)
+    return out
+
+
+def check(a, b):
+    got = cyclic_convolve_exact(a, b, len(a))
+    expected = convolve_py(a, b)
+    assert got.tolist() == expected
+    assert got.dtype == (np.uint64 if max(expected) < 1 << 64 else object)
+    return got
+
+
+def test_matches_reference_on_seeded_vectors():
+    rng = random.Random(401)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        bools = [np.array([rng.random() < 0.4 for _ in range(n)]) for _ in range(2)]
+        check(*bools)
+        ints = [np.array([rng.randrange(1000) for _ in range(n)], dtype=np.int64) for _ in range(2)]
+        check(*ints)
+        check(bools[0], ints[1])
+        bits = rng.choice([8, 63, 64, 65, 200])
+        big = [[rng.randrange(1 << bits) for _ in range(n)] for _ in range(2)]
+        check(*big)
+        check(big[0], ints[1])
+
+
+def test_single_entry_and_zero_vectors():
+    assert check([3], [5]).tolist() == [15]
+    assert check(np.array([True]), np.array([True])).tolist() == [1]
+    for a, b in (([0, 0, 0], [1, 2, 3]), ([4, 5, 6], [0, 0, 0]), ([0], [0])):
+        got = check(a, b)
+        assert got.tolist() == [0] * len(a)
+        assert got.dtype == np.uint64
+
+
+@pytest.mark.parametrize("bound", [255, 256, (1 << 64) - 1, 1 << 64])
+def test_bucket_width_boundaries(bound):
+    # a single nonzero entry in each vector makes the bound exact
+    check([bound, 0, 0], [0, 1, 0])
+    check([0, 0, 1], [bound, 0, 0])
+    # two halves landing on one coefficient
+    half = bound // 2
+    check([half, bound - half, 0], [1, 1, 0])
+
+
+def test_wide_buckets_can_still_give_uint64():
+    # the bound 2^64 needs 9-byte buckets, but no coefficient exceeds 2^63
+    x = 1 << 62
+    got = check([x, 0, 0, 0, x], [2, 0, 2, 0, 0])
+    assert got.dtype == np.uint64
+    assert max(got.tolist()) == 1 << 63
+
+
+def test_bound_is_not_a_wrapping_sum():
+    # sum(a) = 2^64 wraps to 0 in uint64; the result must not
+    for a in ([1 << 63, 1 << 63], np.array([1 << 63, 1 << 63], dtype=np.uint64)):
+        got = cyclic_convolve_exact(a, [1, 0], 2)
+        assert got.tolist() == [1 << 63, 1 << 63]
+        assert got.dtype == np.uint64
+
+
+def test_rejects_bad_input():
+    with pytest.raises(ValueError):
+        cyclic_convolve_exact([1, 2], [1, 2, 3], 2)
+    with pytest.raises(ValueError):
+        cyclic_convolve_exact([1, 2], [1, 2], 3)
+    with pytest.raises(ValueError):
+        cyclic_convolve_exact([1, -1], [1, 2], 2)
+    with pytest.raises(ValueError):
+        cyclic_convolve_exact([1, 2], np.array([1, -1], dtype=np.int64), 2)
+    with pytest.raises(ValueError):
+        cyclic_power_exact([1, -1], 3, 2)
+    with pytest.raises(ValueError):
+        cyclic_power_exact([1, 1], 0, 2)
+
+
+def test_power_matches_reference():
+    rng = random.Random(402)
+    for _ in range(30):
+        n = rng.randint(1, 25)
+        a = [rng.randrange(rng.choice([2, 50, 1 << 40])) for _ in range(n)]
+        for j in (1, 2, 3, 5, 8):
+            got = cyclic_power_exact(a, j, n)
+            expected = power_py(a, j)
+            assert got.tolist() == expected
+            assert got.dtype == (np.uint64 if max(expected) < 1 << 64 else object)
+    assert cyclic_power_exact(np.array([True, False, True]), 1, 3).tolist() == [1, 0, 1]

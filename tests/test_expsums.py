@@ -21,7 +21,9 @@ from recipsums import (
     pair_product_multiplicity,
     verify_bilinear_bound,
 )
+from recipsums.basesets import primes_up_to
 from recipsums.expsums import f_profile_direct, h_profile_direct
+from recipsums.growth import product_counts
 
 
 def rset(p, members):
@@ -110,6 +112,30 @@ def test_pair_product_multiplicity():
     assert w[0] == 3 and w[1] == 1
     t = rset(101, list(range(1, 30)))
     assert pair_product_multiplicity(t).sum() == t.card**2
+
+
+def product_counts_loop(a, b):
+    """Reference: for each member x of A, bincount the products x*B."""
+    p = a.field.p
+    c = np.zeros(p, dtype=np.int64)
+    bm = b.members()
+    for x in a.members():
+        c += np.bincount((int(x) * bm) % p, minlength=p)
+    return c
+
+
+def test_product_counts_vs_loop():
+    rng = random.Random(1301)
+    for p in [2, 3] + rng.sample(primes_up_to(1000), 24):
+        for _ in range(2):
+            a, b = (rng.sample(range(1, p), rng.randint(1, p - 1)) for _ in range(2))
+            for zero_a, zero_b in product((False, True), repeat=2):
+                ta, tb = rset(p, [0] * zero_a + a), rset(p, [0] * zero_b + b)
+                assert product_counts(ta, tb).tolist() == product_counts_loop(ta, tb).tolist()
+                w = pair_product_multiplicity(ta)
+                assert w.tolist() == product_counts_loop(ta, ta).tolist()
+    assert product_counts(rset(5, [0]), rset(5, [0, 3])).tolist() == [2, 0, 0, 0, 0]
+    assert product_counts(rset(5, []), rset(5, [0, 3])).tolist() == [0] * 5
 
 
 def test_covering_counts_trivial():

@@ -27,6 +27,17 @@ def test_is_prime_strong_pseudoprimes():
         assert is_prime(n)
 
 
+def test_is_prime_refuses_uncertified_verdict():
+    # Strong pseudoprimes to all twelve bases 2..37: 399165290221 * 798330580441
+    # (the smallest) and 1287836182261 * 2575672364521.
+    for n in [318665857834031151167461, 3317044064679887385961981]:
+        with pytest.raises(ValueError, match="certif"):
+            is_prime(n)
+    # a composite verdict needs no bound: 2^80 + 1 is divisible by 2^16 + 1
+    assert not is_prime(2**80 + 1)
+    assert not is_prime(10**30)
+
+
 def test_xgcd_identity():
     rng = random.Random(7)
     for _ in range(200):
