@@ -1,8 +1,8 @@
-"""Exhaustive minimal-representation oracle, independent of the layer tables.
+"""Exhaustive minimal-representation oracle, independent of the BFS table.
 
 Enumerates nondecreasing tuples of admissible bases level by level and
 records the first level at which each residue appears. Exponentially
-slower than the layered construction but with no shared machinery: it
+slower than the BFS construction but with no shared machinery: it
 never touches ResidueSet or sumsets, so it can serve as an oracle for
 them.
 """

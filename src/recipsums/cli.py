@@ -96,6 +96,8 @@ def _json_safe(value):
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:  # e.g. a histogram: nothing to convert
+            return list(value)
         return [_json_safe(v) for v in value]
     return value
 
@@ -156,7 +158,7 @@ def _cmd_represent(args) -> tuple[dict, dict]:
         oracle_n, oracle_witness = exhaustive_min_terms(args.a, problem)
         if oracle_n != witness.n:
             raise Error(
-                f"oracle disagreement: layered N = {witness.n}, exhaustive N = {oracle_n}"
+                f"oracle disagreement: BFS N = {witness.n}, exhaustive N = {oracle_n}"
             )
         diagnostics["oracle_N"] = oracle_n
         diagnostics["oracle_witness"] = list(oracle_witness)

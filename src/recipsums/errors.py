@@ -50,4 +50,4 @@ class BoundViolated(Error):
 
 
 class Unreachable(Error):
-    """Layered reachability stabilized without covering a residue."""
+    """An exhaustive search reached its term cap without covering a residue."""

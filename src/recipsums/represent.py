@@ -1,12 +1,12 @@
 """Minimal-length representations a = 1/x_1^k + ... + 1/x_N^k (mod p).
 
 Admissible bases are integers 1 <= x <= floor(p^epsilon) not divisible by
-p. Layer j holds the residues expressible as a sum of exactly j admissible
-reciprocal k-th powers; layers are grown by repeated sumset with layer 1
-until every residue is covered, which is guaranteed within p layers
-because x = 1 is always admissible (a copies of 1 sum to a). The minimal
-N per residue is the first layer containing it, and a witness is recovered
-by backtracking; ties resolve to the lexicographically smallest sequence.
+p, and G is the set of their reciprocal k-th powers. The minimal N of a
+residue r is its breadth-first distance from 0 in the Cayley digraph of
+Z/pZ with generators G (r = 0 itself needs at least one step). Every
+residue is reached within p steps because x = 1 is always admissible
+(a copies of 1 sum to a). A witness is recovered by backtracking along
+the distances; ties resolve to the lexicographically smallest sequence.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import Error, IterationCap, Unreachable
+from .errors import Error
 from .field import PrimeField, Residue, make_field
-from .growth import sumset
 from .intmath import pow_floor
 from .sets import ResidueSet
 
@@ -50,6 +49,11 @@ class ReprProblem:
         """Bases 1 <= x <= height with p not dividing x, ascending."""
         p = self.field.p
         return tuple(x for x in range(1, self.height + 1) if x % p != 0)
+
+    @cached_property
+    def reciprocals(self) -> tuple[int, ...]:
+        """1/x^k mod p for each admissible x, in the same order."""
+        return tuple(self.field.recip_power(x, self.k) for x in self.admissible)
 
 
 @dataclass(frozen=True)
@@ -87,65 +91,74 @@ def verify_witness(w: Witness, problem: ReprProblem) -> bool:
 
 
 def base_reciprocals(problem: ReprProblem) -> ResidueSet:
-    """The layer-1 set {1/x^k mod p : x admissible}."""
-    return ResidueSet.from_members(
-        problem.field,
-        (problem.field.recip_power(x, problem.k) for x in problem.admissible),
-    )
+    """The one-term set G = {1/x^k mod p : x admissible}."""
+    return ResidueSet.from_members(problem.field, problem.reciprocals)
 
 
 @dataclass
 class LayerTable:
-    """Exactly-j-term reachability layers with per-residue first-hit index."""
+    """Minimal term count of every residue, as BFS distances from 0."""
 
     problem: ReprProblem
     base: ResidueSet
-    layers: tuple[np.ndarray, ...]  # layers[j-1] = residues needing exactly j terms
-    coverage: np.ndarray  # coverage[r] = minimal j with r in layer j
+    coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
     recips: tuple[int, ...]  # reciprocal values aligned with problem.admissible
     first_x: dict[int, int]  # reciprocal value -> smallest admissible base
 
 
 @lru_cache(maxsize=32)
 def build_layer_table(problem: ReprProblem) -> LayerTable:
-    """Grow layers R_{j+1} = R_j + R_1 until every residue is covered."""
+    """BFS from 0 over the generators G: level j+1 is (level j + G) minus
+    the residues already reached. Residue 0 starts unreached, so it gets
+    its minimal positive count. Each level is pushed (all sums of the
+    frontier with G) while that is at most four times the unreached count,
+    which keeps the temporary O(p); otherwise it is pulled (each unreached
+    u whose u - g lies in the frontier for some g in G)."""
     p = problem.field.p
-    base = base_reciprocals(problem)
-    recips = tuple(problem.field.recip_power(x, problem.k) for x in problem.admissible)
+    recips = problem.reciprocals
+    base = ResidueSet.from_members(problem.field, recips)
     first_x: dict[int, int] = {}
     for x, r in zip(problem.admissible, recips):
         first_x.setdefault(r, x)
 
+    gens = base.members()
+    back = p - gens  # u - g taken as u + (p - g) in a doubled frontier bitmap
     coverage = np.zeros(p, dtype=np.int64)
-    coverage[base.bits] = 1
-    covered = base.card
-    layers = [base.bits]
-    seen = {base.bits.tobytes()}
-    current = base
-    j = 1
-    while covered < p:
-        if j > p:
-            raise IterationCap(f"coverage incomplete after {p} layers (p = {p})")
-        nxt = sumset(current, base)
-        j += 1
-        newly = nxt.bits & (coverage == 0)
-        if newly.any():
-            coverage[newly] = j
-            covered += int(newly.sum())
-        key = nxt.bits.tobytes()
-        if key in seen and covered < p:
-            missing = np.flatnonzero(coverage == 0)
-            raise Unreachable(
-                f"layers cycle with {missing.size} residues uncovered, e.g. {int(missing[0])}"
-            )
-        seen.add(key)
-        layers.append(nxt.bits)
-        current = nxt
+    remaining = p
+    frontier = np.zeros(1, dtype=np.int64)
+    level = 0
+    while remaining:
+        level += 1
+        if frontier.size * gens.size <= 4 * remaining:
+            sums = (frontier[:, None] + gens).ravel()
+            np.subtract(sums, p, out=sums, where=sums >= p)
+            sums = sums[coverage[sums] == 0]
+            # Deduplicate without sorting: tag each sum's slot in coverage,
+            # and keep the one occurrence per residue whose tag survived.
+            tags = np.arange(-1, -1 - sums.size, -1)
+            coverage[sums] = tags
+            frontier = sums[coverage[sums] == tags]
+        else:
+            in_frontier = np.zeros(2 * p, dtype=bool)
+            in_frontier[frontier] = True
+            in_frontier[frontier + p] = True
+            pending = np.flatnonzero(coverage == 0)
+            hits, i = [], 0
+            while pending.size and i < back.size:
+                width = max(1, p // pending.size)  # at most about p probes at once
+                hit = in_frontier[pending[:, None] + back[i : i + width]].any(axis=1)
+                hits.append(pending[hit])
+                pending = pending[~hit]
+                i += width
+            frontier = np.concatenate(hits)
+        if not frontier.size:  # pragma: no cover - 1 is a generator, so no level is empty
+            raise RuntimeError(f"BFS stalled with {remaining} residues unreached")
+        coverage[frontier] = level
+        remaining -= frontier.size
     coverage.setflags(write=False)
     return LayerTable(
         problem=problem,
         base=base,
-        layers=tuple(layers),
         coverage=coverage,
         recips=recips,
         first_x=first_x,
@@ -161,9 +174,8 @@ def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
     xs: list[int] = []
     t = target
     for j in range(n, 1, -1):
-        prev = table.layers[j - 2]
         for x, r in zip(problem.admissible, table.recips):
-            if prev[(t - r) % p]:
+            if table.coverage[(t - r) % p] == j - 1:
                 xs.append(x)
                 t = (t - r) % p
                 break
@@ -176,7 +188,7 @@ def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
 def n_max(problem: ReprProblem) -> tuple[int, list[int]]:
     """Largest minimal term count over all residues, plus the full per-residue table."""
     table = build_layer_table(problem)
-    return int(table.coverage.max()), [int(v) for v in table.coverage]
+    return int(table.coverage.max()), table.coverage.tolist()
 
 
 def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
@@ -196,8 +208,8 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
         table = build_layer_table(problem)
         row["H"] = problem.height
         row["base_size"] = table.base.card
-        row["n_max"] = int(table.coverage.max())
-        row["max_layer"] = len(table.layers)
+        # max_layer is kept for CSV format stability: the deepest BFS level is n_max.
+        row["n_max"] = row["max_layer"] = int(table.coverage.max())
     except Error as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     if timing:
@@ -212,7 +224,7 @@ def scan(
     workers: int = 1,
     timing: bool = False,
 ) -> list[dict]:
-    """One row per prime: height, base size, n_max, layer count.
+    """One row per prime: height, base size, n_max (and max_layer, equal to it).
 
     Rows are ordered by p and identical for any worker count. Wall-clock
     timing is suppressed (reported as 0) unless explicitly requested, so

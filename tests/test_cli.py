@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,14 @@ GOLDEN = {
         "2d65913a62ac0ef35130c8ffd03eeaf2f5c485e70d9eca9d60b4d41a94dd0786",
     "expsum --p 2003 --random-size 300 --J 5 --min-J --seed 3":
         "167978939e804e05dbcd5f2e2b3ffb532bb8e2e1ad648cdfdde548909460544b",
+    # Pinned while minimal term counts still came from stored exactly-j
+    # layers; these reach both the push and the pull step of the BFS.
+    "nmax --p 10007 --k 2 --epsilon 1/2":
+        "f262d5c2c55c361a74e1e30d39bc680d14c556b9f30e68a7504be9c5b336b9d2",
+    "represent --p 10007 --k 2 --epsilon 1/3 --a 4321":
+        "6a65918752e103d5701e2dbcea276aa1ba906f1f68d5947378f527de27a4b817",
+    "scan --primes 2..2000 --k 3 --epsilon 1/3 --format csv":
+        "6aea38ae5857f01127969119deb8d1b15b18ad190b210c5c2fb6f334e85772a5",
 }
 
 
@@ -222,3 +231,14 @@ def test_internal_failure_exit_1(capsys, monkeypatch, exc):
     doc = json.loads(out)
     assert doc["error"] == {"type": type(exc).__name__, "message": str(exc)}
     assert doc["config"]["command"] == "grow"
+
+
+def test_json_safe_lists():
+    ints = list(range(1000))
+    assert cli._json_safe(ints) == ints
+    assert cli._json_safe((3, 4)) == [3, 4]
+    assert cli._json_safe([1, float("nan"), 2.5]) == [1, None, 2.5]
+    assert cli._json_safe([Fraction(1, 2), 7]) == ["1/2", 7]
+    kept = cli._json_safe([True, 0])
+    assert kept == [True, 0] and type(kept[0]) is bool
+    assert json.dumps(cli._json_safe({"h": [2, 1], "x": []})) == '{"h": [2, 1], "x": []}'

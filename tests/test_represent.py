@@ -1,6 +1,11 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipsums import (
     ReprProblem,
@@ -12,7 +17,10 @@ from recipsums import (
     scan,
     verify_witness,
 )
+from recipsums.basesets import primes_up_to
 from recipsums.bruteforce import exhaustive_depth_table, exhaustive_min_terms
+from recipsums.field import PrimeField
+from recipsums.growth import sumset
 from recipsums.represent import check_representation
 
 from conftest import epsilon_for_height
@@ -20,6 +28,23 @@ from conftest import epsilon_for_height
 
 def problem(p, k, epsilon):
     return ReprProblem(make_field(p), k, epsilon)
+
+
+@lru_cache(maxsize=None)
+def exact_layer(pr, j):
+    """Residues that are a sum of exactly j admissible reciprocals, by repeated sumset."""
+    base = base_reciprocals(pr)
+    return base if j == 1 else sumset(exact_layer(pr, j - 1), base)
+
+
+def minimal_layer_counts(pr):
+    """For every residue, the first j whose exact layer contains it."""
+    counts = np.zeros(pr.field.p, dtype=np.int64)
+    j = 0
+    while not counts.all():
+        j += 1
+        counts[exact_layer(pr, j).bits & (counts == 0)] = j
+    return counts
 
 
 def test_height_and_admissible():
@@ -83,10 +108,60 @@ def test_layer_table_structure():
     table = build_layer_table(pr)
     assert sorted(int(i) for i in table.base.members()) == [1, 4]
     # exactly-j-term layers, computed by hand
-    import numpy as np
+    assert exact_layer(pr, 2).to_list() == [1, 2, 5]
+    assert exact_layer(pr, 3).to_list() == [2, 3, 5, 6]
+    # the table's count is the first exact layer holding the residue
+    assert table.coverage.tolist() == [
+        min(j for j in range(1, 8) if r in exact_layer(pr, j)) for r in range(7)
+    ]
 
-    assert sorted(np.flatnonzero(table.layers[1]).tolist()) == [1, 2, 5]
-    assert sorted(np.flatnonzero(table.layers[2]).tolist()) == [2, 3, 5, 6]
+
+@pytest.mark.parametrize(
+    "k, epsilon", [(2, Fraction(1, 3)), (2, Fraction(1, 2)), (1, Fraction(1, 1))]
+)
+def test_coverage_matches_exact_layers_near_10k(k, epsilon):
+    rng = random.Random(f"bfs/{k}/{epsilon}")
+    p = rng.choice([q for q in primes_up_to(10_500) if q >= 9_500])
+    pr = problem(p, k, epsilon)
+    table = build_layer_table(pr)
+    assert np.array_equal(table.coverage, minimal_layer_counts(pr))
+    for a in rng.sample(range(p), 20):
+        w = min_terms(a, pr)
+        assert w.n == table.coverage[a] and verify_witness(w, pr)
+
+
+def test_each_reciprocal_computed_once(monkeypatch):
+    calls = []
+    recip_power = PrimeField.recip_power
+
+    def counted(self, x, k):
+        calls.append(x)
+        return recip_power(self, x, k)
+
+    monkeypatch.setattr(PrimeField, "recip_power", counted)
+    pr = problem(1009, 1, Fraction(1, 1))
+    base = base_reciprocals(pr)
+    table = build_layer_table.__wrapped__(pr)  # bypass the table cache
+    assert table.base == base
+    assert sorted(calls) == list(pr.admissible)
+
+
+@st.composite
+def small_problems(draw):
+    p = draw(st.sampled_from(primes_up_to(31)))
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(1, p))
+    return problem(p, k, epsilon_for_height(p, h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_problems())
+def test_bfs_matches_exhaustive_oracle(pr):
+    _, hist = n_max(pr)
+    assert hist == exhaustive_depth_table(pr)
+    for a in range(pr.field.p):
+        w = min_terms(a, pr)
+        assert (w.n, w.xs) == exhaustive_min_terms(a, pr)
 
 
 def test_witness_matches_oracle_small_grid():
