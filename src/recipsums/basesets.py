@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyBase, NonPositiveU
 from .field import PrimeField
 from .intmath import pow_floor
-from .sets import ResidueSet
+from .sets import ResidueSet, require_dense
 
 
 def compute_u(beta: Fraction, k: int) -> int:
@@ -77,6 +77,7 @@ class BaseSetSpec:
             raise ValueError("k must be >= 1")
         if self.u is not None and self.u < 1:
             raise ValueError("u override must be >= 1")
+        require_dense(self.field.p)
 
     @property
     def tuple_length(self) -> int:

@@ -32,6 +32,7 @@ from .basesets import (
     build_prime_reciprocal_set,
     build_smooth_set,
     check_multiplicative_conditions,
+    primes_up_to,
 )
 from .bruteforce import exhaustive_depth_table, exhaustive_min_terms
 from .errors import Error
@@ -46,7 +47,7 @@ from .field import make_field
 from .growth import GrowthConfig, grow_until, n_bound, term_budget
 from .intmath import pow_floor
 from .represent import ReprProblem, build_layer_table, min_terms, n_max, scan
-from .sets import ResidueSet
+from .sets import ResidueSet, require_dense
 
 _ORACLE_PRIME_LIMIT = 100
 
@@ -179,9 +180,8 @@ def _cmd_nmax(args) -> tuple[dict, dict]:
 
 
 def _cmd_scan(args) -> tuple[list[dict], dict]:
-    from .basesets import primes_up_to
-
     lo, hi = args.primes
+    require_dense(hi)  # the sieve has length hi + 1
     primes = [p for p in primes_up_to(hi) if p >= lo]
     rows = scan(primes, args.k, args.epsilon, workers=args.workers, timing=args.timing)
     diagnostics = {"prime_count": len(rows), "timing_suppressed": not args.timing}

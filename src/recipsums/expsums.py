@@ -41,14 +41,9 @@ def h_profile_direct(t: ResidueSet) -> np.ndarray:
 
 
 def f_profile(t: ResidueSet) -> np.ndarray:
-    """f(a) = sum_{t1,t2 in T} e(a*t1*t2/p), reusing h: f(a) = sum_t2 h(a*t2)."""
-    p = t.field.p
-    h = h_profile(t)
-    a = np.arange(p, dtype=np.int64)
-    f = np.zeros(p, dtype=np.complex128)
-    for t2 in t.members():
-        f += h[(a * int(t2)) % p]
-    return f
+    """f(a) = sum_m w[m] e(am/p): the DFT of the pair-product counts w, which
+    are exact integers <= 2|T| <= 2p, so the float input carries no error."""
+    return np.conj(np.fft.fft(pair_product_multiplicity(t)))
 
 
 def f_profile_direct(t: ResidueSet) -> np.ndarray:
@@ -105,6 +100,7 @@ def verify_bilinear_bound(profile: ExpSumProfile, tolerance: float = 1e-9) -> Bi
 
     The bound always holds mathematically, so a violation beyond the
     tolerance is raised as BoundViolated: it detects implementation bugs.
+    |f(a)| = |f(p - a)| as w is real, so worst_a is the smaller mirror of the argmax.
     """
     scale = math.sqrt(profile.p) * profile.set_size
     ratios = profile.f_abs[1:] / scale
@@ -115,7 +111,8 @@ def verify_bilinear_bound(profile: ExpSumProfile, tolerance: float = 1e-9) -> Bi
         raise BoundViolated(
             f"|f({worst})| = {profile.f_abs[worst]:.6g} exceeds sqrt(p)*|T| = {scale:.6g}"
         )
-    return BilinearReport(max_ratio=max_ratio, worst_a=worst, holds=holds, tolerance=tolerance)
+    worst_a = min(worst, profile.p - worst)
+    return BilinearReport(max_ratio=max_ratio, worst_a=worst_a, holds=holds, tolerance=tolerance)
 
 
 def compute_J(beta: Fraction | float) -> int:
@@ -158,8 +155,9 @@ class CoveringTable:
 
 
 def _fourier_check_applicable(set_size: int, j: int, p: int) -> bool:
-    # Conservative bound on the float pipeline error: J * |T|^(2J) * eps
-    # times a small log factor must stay well below 1/2.
+    # f = conj(fft(w)) is one DFT of the exact integer vector w; after the
+    # J-th power and the inverse DFT each count is off by about
+    # J * log2(p) * |T|^(2J) * 2^-53, and four times that must stay below 1/8.
     return 4 * j * p.bit_length() * (set_size * set_size) ** j < 2**50
 
 
@@ -187,9 +185,7 @@ def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
 
 def covering_counts_fourier(t: ResidueSet, j: int) -> list[int]:
     """Floating-point Fourier evaluation of the covering counts, rounded."""
-    p = t.field.p
-    g = f_profile(t) ** j
-    counts = np.fft.fft(g).real / p
+    counts = np.fft.fft(f_profile(t) ** j).real / t.field.p
     return [int(round(c)) for c in counts]
 
 

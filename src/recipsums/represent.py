@@ -11,6 +11,7 @@ the distances; ties resolve to the lexicographically smallest sequence.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import Error
 from .field import PrimeField, Residue, make_field
 from .intmath import pow_floor
-from .sets import ResidueSet
+from .sets import ResidueSet, require_dense
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class ReprProblem:
             raise ValueError("k must be >= 1")
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
+        require_dense(self.field.p)
 
     @cached_property
     def height(self) -> int:
@@ -102,8 +104,6 @@ class LayerTable:
     problem: ReprProblem
     base: ResidueSet
     coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
-    recips: tuple[int, ...]  # reciprocal values aligned with problem.admissible
-    first_x: dict[int, int]  # reciprocal value -> smallest admissible base
 
 
 @lru_cache(maxsize=32)
@@ -115,12 +115,7 @@ def build_layer_table(problem: ReprProblem) -> LayerTable:
     which keeps the temporary O(p); otherwise it is pulled (each unreached
     u whose u - g lies in the frontier for some g in G)."""
     p = problem.field.p
-    recips = problem.reciprocals
-    base = ResidueSet.from_members(problem.field, recips)
-    first_x: dict[int, int] = {}
-    for x, r in zip(problem.admissible, recips):
-        first_x.setdefault(r, x)
-
+    base = base_reciprocals(problem)
     gens = base.members()
     back = p - gens  # u - g taken as u + (p - g) in a doubled frontier bitmap
     coverage = np.zeros(p, dtype=np.int64)
@@ -156,13 +151,7 @@ def build_layer_table(problem: ReprProblem) -> LayerTable:
         coverage[frontier] = level
         remaining -= frontier.size
     coverage.setflags(write=False)
-    return LayerTable(
-        problem=problem,
-        base=base,
-        coverage=coverage,
-        recips=recips,
-        first_x=first_x,
-    )
+    return LayerTable(problem=problem, base=base, coverage=coverage)
 
 
 def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
@@ -174,14 +163,15 @@ def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
     xs: list[int] = []
     t = target
     for j in range(n, 1, -1):
-        for x, r in zip(problem.admissible, table.recips):
+        for x, r in zip(problem.admissible, problem.reciprocals):
             if table.coverage[(t - r) % p] == j - 1:
                 xs.append(x)
                 t = (t - r) % p
                 break
         else:  # pragma: no cover - table guarantees a predecessor
             raise RuntimeError("backtracking found no predecessor; table corrupt")
-    xs.append(table.first_x[t])
+    # admissible is ascending, so index() finds the smallest x with 1/x^k = t.
+    xs.append(problem.admissible[problem.reciprocals.index(t)])
     return Witness(problem=problem, target=problem.field.residue(target), xs=tuple(xs))
 
 
@@ -232,7 +222,8 @@ def scan(
     """
     args = [(p, k, epsilon, timing) for p in sorted(primes)]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-started pool starts all max_workers processes up front.
+        with ProcessPoolExecutor(min(workers, len(args), os.cpu_count() or 1)) as pool:
             rows = list(pool.map(_scan_row, args))
     else:
         rows = [_scan_row(a) for a in args]

@@ -10,6 +10,17 @@ from .errors import FieldMismatch
 from .field import PrimeField
 
 
+# Dense kernels multiply two residues in int64 (growth.productset_naive),
+# which is exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
+DENSE_P_MAX = 3_037_000_500
+
+
+def require_dense(n: int) -> None:
+    """Refuse n > DENSE_P_MAX: after the primality verdict, before any length-n array."""
+    if n > DENSE_P_MAX:
+        raise ValueError(f"{n} exceeds the dense-modulus ceiling {DENSE_P_MAX}: (p - 1)**2 < 2**63")
+
+
 class ResidueSet:
     """An immutable subset of Z/pZ with cached cardinality.
 
@@ -34,6 +45,7 @@ class ResidueSet:
 
     @classmethod
     def from_members(cls, field: PrimeField, members: Iterable[int]) -> "ResidueSet":
+        require_dense(field.p)
         bits = np.zeros(field.p, dtype=bool)
         idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
         if idx.size:

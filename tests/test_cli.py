@@ -1,11 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from recipsums import cli
 from recipsums.cli import main
+from recipsums.sets import DENSE_P_MAX, require_dense
 
 
 def run_cli(capsys, *argv):
@@ -179,7 +181,10 @@ def test_json_byte_determinism(capsys):
 
 # SHA-256 of stdout pinned before the dense kernels shared one convolution;
 # the last command sums uint64 intermediates past 2^64, the one before it
-# carries 184-bit covering counts (J = 13).
+# carries 184-bit covering counts (J = 13). The two expsum pins were taken
+# again once f became the DFT of the pair-product counts: only the last
+# digits of result.bilinear.max_ratio changed (0.17081395168309715 ->
+# ...718 and 0.069800053911507 -> 0.06980005391150709).
 GOLDEN = {
     "represent --p 30011 --k 1 --epsilon 1/1 --a 2683":
         "516c35a760180305e6f267cb9b1308b7e18479d43486533d487f1f62a039d3ee",
@@ -190,9 +195,9 @@ GOLDEN = {
     "grow --p 10007 --k 1 --beta 1/4":
         "43b9483bfb6c48f2838e09a25f542fb882dc60bbe17df611b8f1d151eecba9d3",
     "expsum --p 1009 --grow --auto-J":
-        "2d65913a62ac0ef35130c8ffd03eeaf2f5c485e70d9eca9d60b4d41a94dd0786",
+        "aac7fd3e7900cf47e5af41df3e45e152fac7bdc0d5b5f996fbfa54740d123ef8",
     "expsum --p 2003 --random-size 300 --J 5 --min-J --seed 3":
-        "167978939e804e05dbcd5f2e2b3ffb532bb8e2e1ad648cdfdde548909460544b",
+        "3518897d10ed247b9010e7f5a562b573e57458c95eec5f5e242ce3ed2805669c",
     # Pinned while minimal term counts still came from stored exactly-j
     # layers; these reach both the push and the pull step of the BFS.
     "nmax --p 10007 --k 2 --epsilon 1/2":
@@ -218,6 +223,39 @@ def test_uncertified_prime_exit_1(capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError"
     assert "certif" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "represent --p 1000000000039 --k 1 --epsilon 1/1 --a 5",
+        "nmax --p 1000000000039 --epsilon 1/3",
+        "scan --primes 2..1000000000000 --epsilon 1/2",
+        "grow --p 1000000000039 --beta 1/4",
+        "baseset --p 1000000000039 --beta 1/2 --u 1",
+        "expsum --p 1000000000039 --random-size 5",
+        "expsum --p 1000000000039 --grow",
+    ],
+)
+def test_dense_ceiling_exit_1(capsys, command):
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, *command.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert f"dense-modulus ceiling {DENSE_P_MAX}" in error["message"]
+    assert peak < 1 << 24
+
+
+def test_dense_ceiling_value():
+    assert (DENSE_P_MAX - 1) ** 2 < 2**63 <= DENSE_P_MAX**2
+    require_dense(DENSE_P_MAX)
+    with pytest.raises(ValueError, match="ceiling"):
+        require_dense(DENSE_P_MAX + 1)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("covering mass 1 != 2; kernel bug"), MemoryError()])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from recipsums import (
+    BoundViolated,
+    ExpSumProfile,
     NonPositiveBeta,
     ResidueSet,
     check_covering_positivity,
@@ -68,6 +70,15 @@ def test_f_profile_vs_direct(rng):
             fd = f_profile_direct(t)
             scale = max(1.0, float(np.abs(fd).max()))
             assert np.abs(f - fd).max() / scale < 1e-8
+    seeded = random.Random(4099)
+    for p in [2, 3, 503, 1009]:
+        for with_zero in (False, True):
+            for _ in range(2):
+                members = seeded.sample(range(1, p), seeded.randint(1, min(p - 1, 59)))
+                t = rset(p, members + [0] * with_zero)
+                assert (0 in t) == with_zero
+                fd = f_profile_direct(t)
+                assert np.abs(f_profile(t) - fd).max() / float(np.abs(fd).max()) < 1e-8
 
 
 def test_parseval(rng):
@@ -90,6 +101,30 @@ def test_bilinear_bound():
     assert verify_bilinear_bound(exp_sum_profile(t)).holds
 
     assert verify_bilinear_bound(exp_sum_profile(ResidueSet.full(make_field(7)))).holds
+
+
+def test_bilinear_worst_a_is_smaller_mirror():
+    rng = random.Random(2027)
+    for p in [2, 3, 101, 1009, 2003]:
+        for _ in range(4):
+            t = rset(p, rng.sample(range(p), rng.randint(1, p - 1)))
+            profile = exp_sum_profile(t)
+            report = verify_bilinear_bound(profile)
+            assert 1 <= report.worst_a <= p // 2
+            peak = profile.f_abs[1:].max()
+            assert abs(profile.f_abs[report.worst_a] - peak) <= 1e-12 * peak
+            scale = math.sqrt(p) * t.card
+            assert report.max_ratio == pytest.approx(peak / scale, rel=1e-12)
+
+
+def test_bilinear_bound_checks_upper_half():
+    p = 11
+    f_abs = np.ones(p)
+    f_abs[0] = 4.0
+    f_abs[9] = 2 * math.sqrt(p) * 2  # too large only at a = 9 > p/2
+    profile = ExpSumProfile(p=p, set_size=2, h_abs=np.ones(p), f_abs=f_abs, f0=4)
+    with pytest.raises(BoundViolated):
+        verify_bilinear_bound(profile)
 
 
 def test_compute_J():

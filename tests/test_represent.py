@@ -21,6 +21,7 @@ from recipsums.basesets import primes_up_to
 from recipsums.bruteforce import exhaustive_depth_table, exhaustive_min_terms
 from recipsums.field import PrimeField
 from recipsums.growth import sumset
+from recipsums import represent
 from recipsums.represent import check_representation
 
 from conftest import epsilon_for_height
@@ -242,3 +243,28 @@ def test_scan_worker_independence():
     sequential = scan(primes, 2, Fraction(1, 2), workers=1)
     parallel = scan(primes, 2, Fraction(1, 2), workers=4)
     assert sequential == parallel
+
+
+def test_scan_pool_size_is_clamped(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(represent, "ProcessPoolExecutor", SerialPool)
+    primes = [2, 3, 5, 7, 11]
+    expected = scan(primes, 1, Fraction(1, 1))
+    for cpus, workers, size in [(64, 100000, 5), (3, 100000, 3), (None, 100000, 1), (64, 2, 2)]:
+        monkeypatch.setattr(represent.os, "cpu_count", lambda: cpus)
+        assert scan(primes, 1, Fraction(1, 1), workers=workers) == expected
+        assert sizes.pop() == size
