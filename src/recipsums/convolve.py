@@ -1,41 +1,54 @@
-"""Exact cyclic convolution via Kronecker substitution.
+"""Exact cyclic convolution via Kronecker substitution in base 10^d.
 
-Each vector of nonnegative integer counts is packed into one big integer,
-entry i in bytes [i*w, (i+1)*w); a single integer multiplication then
+Each vector of nonnegative integer counts is packed into one big decimal
+number, entry i in digits [i*d, (i+1)*d); a single multiplication then
 yields every linear convolution coefficient, with no rounding anywhere.
 
 Bucket bound: a cyclic coefficient c[k] = sum_i a[i]*b[k-i mod n] is at
 most sum(a)*max(b) and at most sum(b)*max(a), so at most
 B = min(sum(a)*max(b), sum(b)*max(a)). Every linear coefficient is one of
 the two parts of a single cyclic coefficient (c[k] = lin[k] + lin[k+n]),
-so it is at most B too. With w the byte length of B no bucket reaches
-2^(8w), and none can carry into its neighbour. B is computed with Python
-ints: a fixed-width numpy sum could wrap and make the buckets too narrow.
+so it is at most B too. With d the number of decimal digits of B no
+bucket reaches 10^d, and none can carry into its neighbour. B is computed
+exactly: a fixed-width numpy sum is used only where it cannot wrap.
+
+The product is taken by the standard library's ``decimal`` (libmpdec),
+which multiplies large operands by an exact number-theoretic transform;
+its context has maximal precision and traps Inexact and Rounded, so a
+dropped digit raises instead of returning a wrong count. Decimal digits
+make packing and unpacking plain string work: vectorised with numpy
+while a bucket fits in uint64 (d <= 19), and through ``Decimal(int)`` /
+``int(Decimal)``, which convert in binary and so have no digit limit,
+above that.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from typing import Sequence
 
 import numpy as np
 
-try:
-    import gmpy2
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
-    _HAS_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _HAS_GMPY2 = False
-
-
-def _bigmul(a: int, b: int) -> int:
-    if _HAS_GMPY2 and (a.bit_length() > 8192 or b.bit_length() > 8192):
-        return int(gmpy2.mpz(a) * gmpy2.mpz(b))
-    return a * b
+# 10**19 - 1 < 2**64 <= 10**20 - 1: the widest bucket a uint64 holds, and
+# the most decimal digits a uint64 entry can have.
+_U64_DIGITS = 19
+_ZERO = ord("0")
 
 
 def _entries(x: np.ndarray | Sequence[int], n: int) -> tuple[np.ndarray, int, int]:
     """x as a uint64 array (object array if an entry needs more than 64
     bits), with its sum and maximum as exact Python ints."""
+    if isinstance(x, np.ndarray) and (x.dtype == bool or x.dtype.kind in "iu"):
+        if len(x) != n:
+            raise ValueError("vectors must have length n")
+        if x.dtype.kind == "i" and x.min(initial=0) < 0:
+            raise ValueError("entries must be nonnegative")
+        values = x.astype(np.uint64)
+        top = int(values.max(initial=0))
+        total = int(values.sum()) if n * top < 1 << 64 else sum(values.tolist())
+        return values, total, top
     values = x.tolist() if isinstance(x, np.ndarray) else [int(v) for v in x]
     if len(values) != n:
         raise ValueError("vectors must have length n")
@@ -45,11 +58,16 @@ def _entries(x: np.ndarray | Sequence[int], n: int) -> tuple[np.ndarray, int, in
     return np.array(values, dtype=np.uint64 if top < 1 << 64 else object), sum(values), top
 
 
-def _pack(values: np.ndarray, width: int) -> int:
-    if width <= 8:
-        buckets = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
-        return int.from_bytes(buckets.tobytes(), "little")
-    return int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in values), "little")
+def _pack(values: np.ndarray, digits: int) -> Decimal:
+    """sum_i values[i] * 10^(digits*i), most significant bucket first in the text."""
+    if values.dtype == object:
+        return Decimal("".join(str(Decimal(v)).zfill(digits) for v in reversed(values.tolist())))
+    columns = np.full((len(values), digits), _ZERO, dtype=np.uint8)
+    rest = values[::-1].copy()
+    for k in range(1, min(digits, _U64_DIGITS + 1) + 1):
+        columns[:, -k] += (rest % 10).astype(np.uint8)
+        rest //= 10
+    return Decimal(str(columns.data, "ascii"))
 
 
 def cyclic_convolve_exact(
@@ -66,14 +84,21 @@ def cyclic_convolve_exact(
     bound = min(sum_a * max_b, sum_b * max_a)
     if bound == 0:
         return np.zeros(n, dtype=np.uint64)
-    width = (bound.bit_length() + 7) // 8
-    raw = _bigmul(_pack(a, width), _pack(b, width)).to_bytes(2 * n * width, "little")
-    if width <= 8:
-        buckets = np.zeros((2 * n, 8), dtype=np.uint8)
-        buckets[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(2 * n, width)
-        linear = buckets.view("<u8").ravel()
+    digits = len(str(Decimal(bound)))
+    product = _EXACT.multiply(_pack(a, digits), _pack(b, digits))
+    if digits <= _U64_DIGITS:
+        text = str(product).encode("ascii")
+        columns = np.zeros(2 * n * digits, dtype=np.uint8)
+        np.subtract(np.frombuffer(text, dtype=np.uint8), _ZERO, out=columns[columns.size - len(text) :])
+        columns = columns.reshape(2 * n, digits)
+        linear = np.zeros(2 * n, dtype=np.uint64)
+        for k in range(digits):
+            linear *= 10
+            linear += columns[:, k]
+        linear = linear[::-1]
         return linear[:n] + linear[n:]
-    linear = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    text = str(product).zfill(2 * n * digits)
+    linear = [int(Decimal(text[i : i + digits])) for i in range(0, len(text), digits)][::-1]
     return _entries([lo + hi for lo, hi in zip(linear[:n], linear[n:])], n)[0]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,9 +128,16 @@ def compute_J(beta: Fraction | float) -> int:
     return math.floor(2 * (1 + 2 * b) / b) + 1
 
 
+@lru_cache(maxsize=1)
 def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
-    """w[m] = number of ordered pairs (t1, t2) in T x T with t1*t2 = m mod p."""
-    return product_counts(t, t)
+    """w[m] = number of ordered pairs (t1, t2) in T x T with t1*t2 = m mod p.
+
+    The profile, the covering counts and the minimal-J search all start from
+    this vector, so the last one is kept; it is returned write-locked.
+    """
+    w = product_counts(t, t)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -225,10 +233,12 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
 
 def minimal_covering_J(t: ResidueSet, j_cap: int = 64) -> int | None:
     """Smallest J whose covering counts are all positive, or None below j_cap."""
+    # Counts are nonnegative, so the support of c * w is supp(c) + supp(w):
+    # iterating on 0/1 supports finds the same J with bucket bound <= p.
     p = t.field.p
-    counts = w = pair_product_multiplicity(t)
+    covered = support = pair_product_multiplicity(t) > 0
     for j in range(1, j_cap + 1):
-        if counts.min() > 0:
+        if covered.all():
             return j
-        counts = cyclic_convolve_exact(counts, w, p)
+        covered = cyclic_convolve_exact(covered, support, p) > 0
     return None

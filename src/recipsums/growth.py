@@ -91,15 +91,19 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _dlog_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, dlog): powers[i] = g^i mod p, dlog[powers[i]] = i."""
+    """(powers, dlog): powers[i] = g^i mod p, dlog[powers[i]] = i.
+
+    Blocked powers: g^(i+B) = g^B * g^i with the block B doubling each round,
+    so O(log p) numpy passes; the int64 products are exact as (p - 1)^2 < 2^63
+    for every p <= DENSE_P_MAX.
+    """
     g = primitive_root(p)
-    powers = np.empty(p - 1, dtype=np.int64)
+    powers = np.ones(1, dtype=np.int64)
+    while powers.size < p - 1:
+        block = powers[: p - 1 - powers.size]
+        powers = np.concatenate((powers, block * pow(g, powers.size, p) % p))
     dlog = np.zeros(p, dtype=np.int64)
-    acc = 1
-    for i in range(p - 1):
-        powers[i] = acc
-        dlog[acc] = i
-        acc = acc * g % p
+    dlog[powers] = np.arange(p - 1, dtype=np.int64)
     powers.setflags(write=False)
     dlog.setflags(write=False)
     return powers, dlog

@@ -91,6 +91,25 @@ def test_expsum_random_seeded(capsys):
     assert doc1["result"]["set_size"] == 20
 
 
+def test_expsum_computes_pair_products_once(capsys, monkeypatch):
+    from recipsums import expsums
+
+    product_counts = expsums.product_counts
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.field.p)
+        return product_counts(a, b)
+
+    expsums.pair_product_multiplicity.cache_clear()
+    monkeypatch.setattr(expsums, "product_counts", counting)
+    doc = run_json(
+        capsys, "expsum", "--p", "211", "--random-size", "40", "--seed", "3", "--J", "4", "--min-J"
+    )
+    assert "covering" in doc["result"] and "minimal_J" in doc["result"]
+    assert calls == [211]
+
+
 def test_expsum_pipeline_auto_J(capsys):
     doc = run_json(capsys, "expsum", "--p", "101", "--grow", "--k", "1", "--beta", "1/4", "--auto-J")
     covering = doc["result"]["covering"]

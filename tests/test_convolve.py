@@ -107,3 +107,41 @@ def test_power_matches_reference():
             assert got.tolist() == expected
             assert got.dtype == (np.uint64 if max(expected) < 1 << 64 else object)
     assert cyclic_power_exact(np.array([True, False, True]), 1, 3).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "bound", [9, 10, 99, 100, 10**19 - 1, 10**19, (1 << 64) - 1, 1 << 64]
+)
+def test_decimal_bucket_boundaries(bound):
+    # digit-width steps, and the widest bucket that still unpacks in uint64
+    check([bound, 0, 0], [0, 1, 0])
+    check([0, 0, 1], [bound, 0, 0])
+    half = bound // 2
+    check([half, bound - half, 0], [1, 1, 0])
+    check([half, bound - half, half], [1, 0, 1])
+
+
+def test_entry_beyond_int_str_digit_limit():
+    # 2^20000 has 6021 decimal digits, above Python's int <-> str limit
+    big = (1 << 20000) + 3
+    got = check([big, 1, 0, 2], [1, 0, 5, 1])
+    assert got.dtype == object
+    check([big, big], [big, 1])
+
+
+def test_exact_context_traps_rounding():
+    from decimal import Decimal, Inexact, Rounded
+
+    from recipsums.convolve import _EXACT
+
+    assert _EXACT.traps[Inexact] and _EXACT.traps[Rounded]
+    # the same traps at a precision too small for the product: digits are
+    # never dropped silently
+    narrow = _EXACT.copy()
+    narrow.prec = 5
+    with pytest.raises(Inexact):
+        narrow.multiply(Decimal(123457), Decimal(7))
+    # 12340 * 70 loses only a zero digit: exact, but rounded all the same
+    with pytest.raises(Rounded):
+        narrow.multiply(Decimal(12340), Decimal(70))
+    assert narrow.multiply(Decimal(12345), Decimal(7)) == 86415

@@ -24,6 +24,7 @@ from recipsums import (
     verify_bilinear_bound,
 )
 from recipsums.basesets import primes_up_to
+from recipsums.convolve import cyclic_convolve_exact
 from recipsums.expsums import f_profile_direct, h_profile_direct
 from recipsums.growth import product_counts
 
@@ -231,3 +232,36 @@ def test_minimal_covering_J():
     assert minimal_covering_J(rset(7, [1, 2])) == 3
     assert minimal_covering_J(rset(7, [0]), j_cap=5) is None
     assert minimal_covering_J(ResidueSet.full(make_field(7))) == 1
+
+
+def minimal_covering_J_counts(t, j_cap):
+    """The minimal-J search on exact covering counts, for comparison."""
+    counts = w = pair_product_multiplicity(t)
+    for j in range(1, j_cap + 1):
+        if counts.min() > 0:
+            return j
+        counts = cyclic_convolve_exact(counts, w, t.field.p)
+    return None
+
+
+def test_minimal_covering_J_matches_counts():
+    rng = random.Random(511)
+    seen = set()
+    for _ in range(40):
+        p = rng.choice([7, 11, 31, 101, 211])
+        t = rset(p, rng.sample(range(p), rng.randint(1, min(12, p - 1))))
+        j_cap = rng.choice([2, 3, 8])
+        expected = minimal_covering_J_counts(t, j_cap)
+        assert minimal_covering_J(t, j_cap=j_cap) == expected
+        seen.add(expected is None)
+    assert seen == {True, False}
+    # products of the quadratic residues mod 7 stay in {1, 2, 4}: J = 3 is needed
+    assert minimal_covering_J(rset(7, [1, 2, 4]), j_cap=2) is None
+    assert minimal_covering_J_counts(rset(7, [1, 2, 4]), 2) is None
+
+
+def test_pair_product_multiplicity_is_shared_and_locked():
+    t = rset(31, [2, 3, 5, 7, 11])
+    w = pair_product_multiplicity(t)
+    assert pair_product_multiplicity(rset(31, [2, 3, 5, 7, 11])) is w
+    assert not w.flags.writeable

@@ -22,6 +22,7 @@ from recipsums import (
 from recipsums.growth import (
     PRODUCT,
     SUM,
+    _dlog_tables,
     primitive_root,
     productset_dlog,
     productset_naive,
@@ -115,6 +116,21 @@ def test_primitive_root_generates():
             seen.add(acc)
             acc = acc * g % p
         assert len(seen) == p - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 9871, 99929])
+def test_dlog_tables_match_loop(p):
+    g = primitive_root(p)
+    powers, dlog = [], [0] * p
+    acc = 1
+    for i in range(p - 1):
+        powers.append(acc)
+        dlog[acc] = i
+        acc = acc * g % p
+    got_powers, got_dlog = _dlog_tables(p)
+    assert got_powers.tolist() == powers
+    assert got_dlog.tolist() == dlog
+    assert not got_powers.flags.writeable and not got_dlog.flags.writeable
 
 
 def test_grow_step_degenerate_zero():
