@@ -77,15 +77,19 @@ def cyclic_convolve_exact(
 
     Accepts bool or integer arrays and int sequences; entries may be
     arbitrarily large. Returns a uint64 array when every coefficient fits
-    in 64 bits, otherwise an object array of Python ints.
+    in 64 bits, otherwise an object array of Python ints. A square (b is a)
+    packs once and hands libmpdec the same operand twice, which it then
+    transforms once.
     """
+    square = b is a
     a, sum_a, max_a = _entries(a, n)
-    b, sum_b, max_b = _entries(b, n)
+    b, sum_b, max_b = (a, sum_a, max_a) if square else _entries(b, n)
     bound = min(sum_a * max_b, sum_b * max_a)
     if bound == 0:
         return np.zeros(n, dtype=np.uint64)
     digits = len(str(Decimal(bound)))
-    product = _EXACT.multiply(_pack(a, digits), _pack(b, digits))
+    packed = _pack(a, digits)
+    product = _EXACT.multiply(packed, packed if square else _pack(b, digits))
     if digits <= _U64_DIGITS:
         text = str(product).encode("ascii")
         columns = np.zeros(2 * n * digits, dtype=np.uint8)

@@ -3,11 +3,14 @@
 All values are plain Python integers reduced to [0, p-1]; intermediate
 products never touch floating point. Inversion goes through extended
 Euclid; Fermat exponentiation is available as an independent cross-check.
+Whole arrays of reciprocal powers come from one int64 square-and-multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotInvertible, NotPrime, ZeroInverse
 from .intmath import inv_mod, is_prime
@@ -39,6 +42,35 @@ class PrimeField:
         if x % self.p == 0:
             raise NotInvertible(f"{x} is divisible by {self.p}")
         return inv_mod(pow(x, k, self.p), self.p)
+
+    def recip_powers(self, xs: np.ndarray, k: int) -> np.ndarray:
+        """(x**k)^{-1} mod p for every x of an integer array, as int64.
+
+        x^e with e = -k mod (p - 1), by square-and-multiply over the whole
+        array in O(len(xs) log p) and with no length-p table. Exact in int64:
+        every operand is reduced below p, so every product is at most
+        (p - 1)**2 < 2**63 for p <= sets.DENSE_P_MAX, the bound the discrete-log
+        tables rely on too.
+        """
+        p = self.p
+        if k < 1:
+            raise ValueError("power k must be >= 1")
+        if (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"{p} is too large for int64 products: (p - 1)**2 >= 2**63")
+        base = np.remainder(xs, p, dtype=np.int64)
+        if not base.all():
+            raise NotInvertible(f"an entry is divisible by {p}")
+        result = np.ones_like(base)
+        e = -k % (p - 1)
+        while e:
+            if e & 1:
+                np.multiply(result, base, out=result)
+                np.remainder(result, p, out=result)
+            e >>= 1
+            if e:
+                np.multiply(base, base, out=base)
+                np.remainder(base, p, out=base)
+        return result
 
 
 @dataclass(frozen=True)

@@ -126,16 +126,18 @@ def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
     Z/(p-1)Z; every pair with a zero factor lands on 0."""
     p = require_same_field(a, b).p
     powers, dlog = _dlog_tables(p)
-    am, bm = a.members(), b.members()
-    an = am[am != 0]
-    bn = bm[bm != 0]
-    ae = np.zeros(p - 1, dtype=bool)
-    ae[dlog[an]] = True
-    be = np.zeros(p - 1, dtype=bool)
-    be[dlog[bn]] = True
+
+    def exponents(s: ResidueSet) -> tuple[int, np.ndarray]:
+        nonzero = s.members()[1:] if 0 in s else s.members()
+        bits = np.zeros(p - 1, dtype=bool)
+        bits[dlog[nonzero]] = True
+        return nonzero.size, bits
+
+    na, ae = exponents(a)
+    nb, be = (na, ae) if b is a else exponents(b)  # one bitmap: packed once
     counts = np.zeros(p, dtype=np.uint64)
     counts[powers] = cyclic_convolve_exact(ae, be, p - 1)
-    counts[0] = a.card * b.card - an.size * bn.size
+    counts[0] = a.card * b.card - na * nb
     return counts
 
 

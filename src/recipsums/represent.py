@@ -1,19 +1,22 @@
 """Minimal-length representations a = 1/x_1^k + ... + 1/x_N^k (mod p).
 
 Admissible bases are integers 1 <= x <= floor(p^epsilon) not divisible by
-p, and G is the set of their reciprocal k-th powers. The minimal N of a
+p, and G is the set of their reciprocal k-th powers. Those come from one
+square-and-multiply over all bases at once, x^(-k mod (p - 1)) in int64,
+which is exact because every product of two residues is at most
+(p - 1)^2 < 2^63 below the dense-modulus ceiling. The minimal N of a
 residue r is its breadth-first distance from 0 in the Cayley digraph of
 Z/pZ with generators G (r = 0 itself needs at least one step). Every
 residue is reached within p steps because x = 1 is always admissible
 (a copies of 1 sum to a). A witness is recovered by backtracking along
-the distances; ties resolve to the lexicographically smallest sequence.
+the distances, one vectorised probe over all bases per term; ties resolve
+to the lexicographically smallest sequence.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,14 +51,17 @@ class ReprProblem:
 
     @cached_property
     def admissible(self) -> tuple[int, ...]:
-        """Bases 1 <= x <= height with p not dividing x, ascending."""
-        p = self.field.p
-        return tuple(x for x in range(1, self.height + 1) if x % p != 0)
+        """Bases 1 <= x <= height with p not dividing x, ascending. As
+        height <= p, only x = p can be excluded, so admissible[i] = i + 1."""
+        return tuple(range(1, min(self.height, self.field.p - 1) + 1))
 
     @cached_property
-    def reciprocals(self) -> tuple[int, ...]:
-        """1/x^k mod p for each admissible x, in the same order."""
-        return tuple(self.field.recip_power(x, self.k) for x in self.admissible)
+    def reciprocals(self) -> np.ndarray:
+        """1/x^k mod p for each admissible x, in the same order (write-locked int64)."""
+        xs = np.arange(1, min(self.height, self.field.p - 1) + 1, dtype=np.int64)
+        recips = self.field.recip_powers(xs, self.k)
+        recips.setflags(write=False)
+        return recips
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,14 @@ class LayerTable:
     coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
 
 
-@lru_cache(maxsize=32)
-def build_layer_table(problem: ReprProblem) -> LayerTable:
+def build_layer_table(problem: ReprProblem, cached: bool = True) -> LayerTable:
+    """The minimal term counts of problem. Up to 32 tables are kept for
+    reuse unless cached is False; scan passes False, as it builds each
+    table once and the cache would only hold memory."""
+    return _cached_layer_table(problem) if cached else _layer_table(problem)
+
+
+def _layer_table(problem: ReprProblem) -> LayerTable:
     """BFS from 0 over the generators G: level j+1 is (level j + G) minus
     the residues already reached. Residue 0 starts unreached, so it gets
     its minimal positive count. Each level is pushed (all sums of the
@@ -154,24 +166,28 @@ def build_layer_table(problem: ReprProblem) -> LayerTable:
     return LayerTable(problem=problem, base=base, coverage=coverage)
 
 
+_cached_layer_table = lru_cache(maxsize=32)(_layer_table)
+
+
 def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
     """Minimal representation of a, with the lexicographically smallest witness."""
     p = problem.field.p
     target = int(a) % p
-    table = build_layer_table(problem)
-    n = int(table.coverage[target])
+    coverage = build_layer_table(problem).coverage
+    recips = problem.reciprocals
+    n = int(coverage[target])
     xs: list[int] = []
     t = target
+    # Bases ascend (admissible[i] = i + 1), so the first hit of each probe is
+    # the smallest x, which makes the witness the lexicographically smallest.
     for j in range(n, 1, -1):
-        for x, r in zip(problem.admissible, problem.reciprocals):
-            if table.coverage[(t - r) % p] == j - 1:
-                xs.append(x)
-                t = (t - r) % p
-                break
-        else:  # pragma: no cover - table guarantees a predecessor
+        hit = coverage[(t - recips) % p] == j - 1
+        i = int(hit.argmax())
+        if not hit[i]:  # pragma: no cover - table guarantees a predecessor
             raise RuntimeError("backtracking found no predecessor; table corrupt")
-    # admissible is ascending, so index() finds the smallest x with 1/x^k = t.
-    xs.append(problem.admissible[problem.reciprocals.index(t)])
+        xs.append(i + 1)
+        t = (t - int(recips[i])) % p
+    xs.append(int((recips == t).argmax()) + 1)
     return Witness(problem=problem, target=problem.field.residue(target), xs=tuple(xs))
 
 
@@ -195,7 +211,7 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
     }
     try:
         problem = ReprProblem(make_field(p), k, epsilon)
-        table = build_layer_table(problem)
+        table = build_layer_table(problem, cached=False)
         row["H"] = problem.height
         row["base_size"] = table.base.card
         # max_layer is kept for CSV format stability: the deepest BFS level is n_max.
@@ -222,9 +238,12 @@ def scan(
     """
     args = [(p, k, epsilon, timing) for p in sorted(primes)]
     if workers > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs start-up time, so only here
+
         # A fork-started pool starts all max_workers processes up front.
-        with ProcessPoolExecutor(min(workers, len(args), os.cpu_count() or 1)) as pool:
-            rows = list(pool.map(_scan_row, args))
+        workers = min(workers, len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(workers) as pool:
+            rows = list(pool.map(_scan_row, args, chunksize=max(1, len(args) // (4 * workers))))
     else:
         rows = [_scan_row(a) for a in args]
     return rows

@@ -47,7 +47,10 @@ class ResidueSet:
     def from_members(cls, field: PrimeField, members: Iterable[int]) -> "ResidueSet":
         require_dense(field.p)
         bits = np.zeros(field.p, dtype=bool)
-        idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
+        if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
+            idx = members % field.p
+        else:
+            idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
         if idx.size:
             bits[idx] = True
         return cls(field, bits)

@@ -145,3 +145,23 @@ def test_exact_context_traps_rounding():
     with pytest.raises(Rounded):
         narrow.multiply(Decimal(12340), Decimal(70))
     assert narrow.multiply(Decimal(12345), Decimal(7)) == 86415
+
+
+def test_square_packs_once_and_matches_two_copies(monkeypatch):
+    from recipsums import convolve
+
+    packs = []
+    pack = convolve._pack
+    monkeypatch.setattr(convolve, "_pack", lambda values, digits: packs.append(digits) or pack(values, digits))
+    rng = random.Random(403)
+    for top in (2, 1000, 1 << 70):
+        a = np.array([rng.randrange(top) for _ in range(37)], dtype=object if top > 1 << 63 else np.int64)
+        square = cyclic_convolve_exact(a, a, 37)
+        assert len(packs) == 1
+        assert square.tolist() == cyclic_convolve_exact(a, a.copy(), 37).tolist() == convolve_py(a, a)
+        assert len(packs) == 3
+        packs.clear()
+    # binary exponentiation packs each squaring's operand once: j = 8 is three squarings
+    v = np.array([rng.randrange(5) for _ in range(20)], dtype=np.int64)
+    assert cyclic_power_exact(v, 8, 20).tolist() == power_py(v.tolist(), 8)
+    assert len(packs) == 3

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from recipsums import (
@@ -93,3 +94,23 @@ def test_residue_range_enforced():
     assert f.residue(9).value == 2
     assert (f.residue(3) + f.residue(5)).value == 1
     assert (f.residue(3) * f.residue(5)).value == 1
+
+
+def test_recip_powers_vectorised():
+    field = make_field(101)
+    xs = np.arange(1, 300)
+    xs = xs[xs % 101 != 0]
+    for k in [1, 2, 7, 100, 101, 250]:
+        got = field.recip_powers(xs, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == [recip_power_fermat(int(x), k, field).value for x in xs]
+    assert make_field(2).recip_powers(np.array([1, 3]), 5).tolist() == [1, 1]
+    assert field.recip_powers(np.array([], dtype=np.int64), 3).size == 0
+
+
+def test_recip_powers_refuses_multiples_of_p_and_bad_k():
+    field = make_field(7)
+    with pytest.raises(NotInvertible):
+        field.recip_powers(np.array([1, 14]), 1)
+    with pytest.raises(ValueError):
+        field.recip_powers(np.array([1, 2]), 0)

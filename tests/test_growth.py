@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from recipsums import (
@@ -24,6 +25,7 @@ from recipsums.growth import (
     SUM,
     _dlog_tables,
     primitive_root,
+    product_counts,
     productset_dlog,
     productset_naive,
     sumset_conv,
@@ -87,6 +89,16 @@ def test_kernel_equivalence_random(rng):
         b = rset(p, rng.sample(range(p), rng.randint(1, p - 1)))
         assert sumset_naive(a, b) == sumset_conv(a, b)
         assert productset_naive(a, b) == productset_dlog(a, b)
+
+
+def test_from_members_array_matches_iterable():
+    members = [-8, 0, 3, 7, 9, 23, 40]
+    expected = rset(11, members)
+    assert expected.to_list() == [0, 1, 3, 7, 9]
+    for dtype in (np.int64, np.int32):
+        assert rset(11, np.array(members, dtype=dtype)) == expected
+    assert rset(11, np.array([m % 11 for m in members], dtype=np.uint64)) == expected
+    assert rset(11, np.array([], dtype=np.int64)).card == 0
 
 
 def test_empty_operand():
@@ -219,3 +231,28 @@ def test_term_budget():
         term_budget(2, 1, 0.0)
     with pytest.raises(OverflowError):
         term_budget(2, 1, 1e-9)
+
+
+def test_self_product_counts_pack_once(monkeypatch, rng):
+    from recipsums import convolve
+
+    packs = []
+    pack = convolve._pack
+    monkeypatch.setattr(convolve, "_pack", lambda values, digits: packs.append(digits) or pack(values, digits))
+    for p in [2, 3, 101, 1009]:
+        for with_zero in (False, True):
+            members = rng.sample(range(1, p), min(p - 1, 30)) + ([0] if with_zero else [])
+            t = rset(p, members)
+            packs.clear()
+            counts = product_counts(t, t)
+            assert len(packs) == 1
+            twin = rset(p, members)
+            assert counts.tolist() == product_counts(t, twin).tolist()
+            expected = [0] * p
+            for x in t.to_list():
+                for y in t.to_list():
+                    expected[x * y % p] += 1
+            assert counts.tolist() == expected
+            packs.clear()
+            assert sumset_conv(t, t) == sumset_conv(t, twin)
+            assert len(packs) == 1 + 2

@@ -1,4 +1,6 @@
+import concurrent.futures
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -131,7 +133,29 @@ def test_coverage_matches_exact_layers_near_10k(k, epsilon):
         assert w.n == table.coverage[a] and verify_witness(w, pr)
 
 
-def test_each_reciprocal_computed_once(monkeypatch):
+def test_reciprocals_match_scalar_oracle(monkeypatch):
+    rng = random.Random("recip_powers")
+    primes = [2, 3] + rng.sample([q for q in primes_up_to(10_000) if q > 3], 5)
+    for p in primes:
+        for k in sorted({1, 2, 3, p - 1, p, 2 * (p - 1)}):
+            for eps in [Fraction(1, 3), Fraction(1, 2), Fraction(1, 1)]:
+                pr = problem(p, k, eps)
+                assert pr.admissible == tuple(x for x in range(1, pr.height + 1) if x % p)
+                assert pr.reciprocals.dtype == np.int64
+                assert not pr.reciprocals.flags.writeable
+                assert pr.reciprocals.tolist() == [pr.field.recip_power(x, k) for x in pr.admissible]
+
+    # The int64 ceiling: (p - 1)**2 < 2**63 with p = 3037000493, and no length-p array.
+    p = 3_037_000_493
+    for k in [1, 2, 3, p - 1, p, 2 * (p - 1)]:
+        pr = problem(p, k, Fraction(1, 3))
+        tracemalloc.start()
+        recips = pr.reciprocals
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert recips.size == pr.height == 1448 and peak < 1 << 20
+        assert recips.tolist() == [pr.field.recip_power(x, k) for x in range(1, 1449)]
+
     calls = []
     recip_power = PrimeField.recip_power
 
@@ -141,10 +165,17 @@ def test_each_reciprocal_computed_once(monkeypatch):
 
     monkeypatch.setattr(PrimeField, "recip_power", counted)
     pr = problem(1009, 1, Fraction(1, 1))
-    base = base_reciprocals(pr)
-    table = build_layer_table.__wrapped__(pr)  # bypass the table cache
-    assert table.base == base
-    assert sorted(calls) == list(pr.admissible)
+    table = build_layer_table(pr, cached=False)
+    assert table.base == base_reciprocals(pr)
+    assert calls == []
+
+
+def test_scan_bypasses_table_cache():
+    represent._cached_layer_table.cache_clear()
+    scan(primes_up_to(200), 2, Fraction(1, 2))
+    assert represent._cached_layer_table.cache_info().currsize == 0
+    build_layer_table(problem(199, 2, Fraction(1, 2)))
+    assert represent._cached_layer_table.cache_info().currsize == 1
 
 
 @st.composite
@@ -258,13 +289,22 @@ def test_scan_pool_size_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(represent, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     primes = [2, 3, 5, 7, 11]
     expected = scan(primes, 1, Fraction(1, 1))
     for cpus, workers, size in [(64, 100000, 5), (3, 100000, 3), (None, 100000, 1), (64, 2, 2)]:
         monkeypatch.setattr(represent.os, "cpu_count", lambda: cpus)
         assert scan(primes, 1, Fraction(1, 1), workers=workers) == expected
         assert sizes.pop() == size
+
+
+def test_scan_chunked_pool_matches_serial(monkeypatch):
+    monkeypatch.setattr(represent.os, "cpu_count", lambda: 2)
+    numbers = list(range(2, 152))  # 150 integers, composites inside every chunk
+    serial = scan(numbers, 2, Fraction(1, 2))
+    assert scan(numbers, 2, Fraction(1, 2), workers=2) == serial
+    assert [r["p"] for r in serial] == numbers and len(primes_up_to(151)) == 36
+    assert sum(r["error"] is not None and r["error"].startswith("NotPrime") for r in serial) == 150 - 36
