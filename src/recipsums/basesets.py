@@ -122,7 +122,7 @@ def build_prime_reciprocal_set(spec: BaseSetSpec) -> tuple[ResidueSet, Distinctn
     bits = np.zeros(p, dtype=bool)
     for combo in combinations(recips, u):
         bits[sum(combo) % p] = True
-    members = ResidueSet(spec.field, bits)
+    members = ResidueSet._adopt(spec.field, bits)
 
     tuple_count = math.comb(len(primes), u)
     # u^den * p^((2u-1)*k*num) < p^den  <=>  p^((2u-1)*k*beta) < p/u.

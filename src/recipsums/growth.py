@@ -21,9 +21,11 @@ from .convolve import cyclic_convolve_exact
 from .errors import IterationCap, NonPositiveTheta, Stalled
 from .sets import ResidueSet, require_same_field
 
-# Above this many element pairs the convolution kernels beat direct
-# enumeration; below it the dense vectors cost more than they save.
-_NAIVE_PAIR_LIMIT = 1 << 12
+# Direct enumeration of the |A|*|B| pairs costs about the same as one
+# length-p convolution at |A|*|B| = 40p to 60p (measured at p = 20149, 99929
+# and 1000003, for sums and products alike); below this many pairs per
+# residue it is at least 1.3 times faster.
+_NAIVE_PAIRS_PER_RESIDUE = 32
 
 SUM = "sum"
 PRODUCT = "product"
@@ -33,27 +35,38 @@ PRODUCT = "product"
 # sumset kernels
 
 
-def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """{x + y mod p} by direct enumeration of all member pairs."""
+def _naive_pays(a: ResidueSet, b: ResidueSet) -> bool:
+    return a.card * b.card <= _NAIVE_PAIRS_PER_RESIDUE * require_same_field(a, b).p
+
+
+def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: np.ufunc) -> ResidueSet:
+    """{op(x, y) mod p} over all member pairs, in blocks of rows of about p
+    pairs each, so every temporary stays O(p)."""
     p = require_same_field(a, b).p
     am, bm = a.members(), b.members()
     bits = np.zeros(p, dtype=bool)
-    if am.size and bm.size:
-        sums = (am[:, None] + bm[None, :]) % p
-        bits[sums.ravel()] = True
-    return ResidueSet(a.field, bits)
+    rows = max(1, p // max(bm.size, 1))
+    for start in range(0, am.size, rows):
+        block = op(am[start : start + rows, None], bm[None, :])
+        block %= p
+        bits[block.ravel()] = True
+    return ResidueSet._adopt(a.field, bits)
+
+
+def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
+    """{x + y mod p} by direct enumeration of all member pairs."""
+    return _enumerate_pairs(a, b, np.add)
 
 
 def sumset_conv(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod p} via exact cyclic convolution of characteristic vectors."""
     p = require_same_field(a, b).p
-    return ResidueSet(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
+    return ResidueSet._adopt(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Sumset A+B; kernel chosen by size, results identical either way."""
-    require_same_field(a, b)
-    if a.card * b.card <= _NAIVE_PAIR_LIMIT:
+    if _naive_pays(a, b):
         return sumset_naive(a, b)
     return sumset_conv(a, b)
 
@@ -111,13 +124,7 @@ def _dlog_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def productset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p} by direct enumeration of all member pairs."""
-    p = require_same_field(a, b).p
-    am, bm = a.members(), b.members()
-    bits = np.zeros(p, dtype=bool)
-    if am.size and bm.size:
-        prods = (am[:, None] * bm[None, :]) % p
-        bits[prods.ravel()] = True
-    return ResidueSet(a.field, bits)
+    return _enumerate_pairs(a, b, np.multiply)
 
 
 def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
@@ -143,13 +150,12 @@ def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
 
 def productset_dlog(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p} from the discrete-log product counts."""
-    return ResidueSet(a.field, product_counts(a, b) > 0)
+    return ResidueSet._adopt(a.field, product_counts(a, b) > 0)
 
 
 def productset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Productset A*B; kernel chosen by size, results identical either way."""
-    require_same_field(a, b)
-    if a.card * b.card <= _NAIVE_PAIR_LIMIT:
+    if _naive_pays(a, b):
         return productset_naive(a, b)
     return productset_dlog(a, b)
 

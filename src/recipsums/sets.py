@@ -31,10 +31,19 @@ class ResidueSet:
     __slots__ = ("field", "bits", "card")
 
     def __init__(self, field: PrimeField, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (field.p,):
-            raise ValueError(f"characteristic vector must have length {field.p}")
-        bits = bits.copy()
+        # np.array always copies, so the caller keeps no handle on the bitmap.
+        self._lock(field, np.array(bits, dtype=bool))
+
+    @classmethod
+    def _adopt(cls, field: PrimeField, bits: np.ndarray) -> "ResidueSet":
+        """Wrap a fresh bool bitmap that no one else holds, without a copy."""
+        self = cls.__new__(cls)
+        self._lock(field, bits)
+        return self
+
+    def _lock(self, field: PrimeField, bits: np.ndarray) -> None:
+        if bits.dtype != bool or bits.shape != (field.p,):
+            raise ValueError(f"characteristic vector must be bool of length {field.p}")
         bits.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "bits", bits)
@@ -53,15 +62,15 @@ class ResidueSet:
             idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
         if idx.size:
             bits[idx] = True
-        return cls(field, bits)
+        return cls._adopt(field, bits)
 
     @classmethod
     def empty(cls, field: PrimeField) -> "ResidueSet":
-        return cls(field, np.zeros(field.p, dtype=bool))
+        return cls._adopt(field, np.zeros(field.p, dtype=bool))
 
     @classmethod
     def full(cls, field: PrimeField) -> "ResidueSet":
-        return cls(field, np.ones(field.p, dtype=bool))
+        return cls._adopt(field, np.ones(field.p, dtype=bool))
 
     def members(self) -> np.ndarray:
         """Member residues in ascending order, as an int64 array."""

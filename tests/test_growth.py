@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from recipsums import (
     sumset,
     term_budget,
 )
+from recipsums import growth
 from recipsums.growth import (
     PRODUCT,
     SUM,
@@ -256,3 +258,73 @@ def test_self_product_counts_pack_once(monkeypatch, rng):
             packs.clear()
             assert sumset_conv(t, t) == sumset_conv(t, twin)
             assert len(packs) == 1 + 2
+
+
+def subsets(p):
+    return [rset(p, c) for size in range(p + 1) for c in combinations(range(p), size)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_naive_kernels_on_every_pair_of_subsets(p):
+    for a in subsets(p):
+        for b in subsets(p):
+            assert set(sumset_naive(a, b)) == sumset_py(a, b) and sumset_naive(a, b) == sumset_conv(a, b)
+            assert set(productset_naive(a, b)) == productset_py(a, b)
+            assert productset_naive(a, b) == productset_dlog(a, b)
+
+
+def test_naive_kernels_across_block_edges():
+    # Blocks hold p // |B| rows of A: cover one row, one block, a block plus
+    # one row, a partial last block, |B| = 1 (one block of all rows) and |B| = p.
+    rng = random.Random(6011)
+    p = 101
+    for b_size in (1, 2, 30, 33, 50, 51, 100, 101):
+        rows = p // b_size
+        for a_size in sorted({1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1, p} & set(range(1, p + 1))):
+            a = rset(p, rng.sample(range(p), a_size))
+            b = rset(p, rng.sample(range(p), b_size))
+            assert sumset_naive(a, b) == sumset_conv(a, b), (a_size, b_size)
+            assert productset_naive(a, b) == productset_dlog(a, b), (a_size, b_size)
+            with_zero = rset(p, a.to_list() + [0])
+            assert productset_naive(with_zero, b) == productset_dlog(with_zero, b)
+
+
+def test_dispatch_switches_at_pairs_per_residue(monkeypatch):
+    calls = []
+    for name in ("sumset_naive", "sumset_conv", "productset_naive", "productset_dlog"):
+        kernel = getattr(growth, name)
+        monkeypatch.setattr(growth, name, lambda a, b, k=kernel, n=name: calls.append(n) or k(a, b))
+    p = 101
+    limit = growth._NAIVE_PAIRS_PER_RESIDUE * p
+    rng = random.Random(4243)
+    shapes = {x * y: (x, y) for x in range(1, p + 1) for y in range(x, p + 1)}
+    below = max(n for n in shapes if n < limit)
+    above = min(n for n in shapes if n > limit)
+    assert limit - below <= 2 and above - limit == 1
+    for pairs in (below, limit, above):
+        na, nb = shapes[pairs]
+        a, b = rset(p, rng.sample(range(p), na)), rset(p, rng.sample(range(p), nb))
+        calls.clear()
+        assert sumset(a, b) == sumset_naive(a, b) == sumset_conv(a, b)
+        assert productset(a, b) == productset_naive(a, b) == productset_dlog(a, b)
+        naive = pairs <= limit
+        assert calls == (["sumset_naive", "productset_naive"] if naive else ["sumset_conv", "productset_dlog"])
+
+
+def test_kernel_results_are_locked_and_callers_arrays_copied():
+    field = make_field(7)
+    bits = np.zeros(7, dtype=bool)
+    bits[[1, 3]] = True
+    s = ResidueSet(field, bits)
+    bits[2] = True
+    assert s.to_list() == [1, 3] and bits.flags.writeable
+    assert ResidueSet(field, np.array([0, 1, 0, 0, 0, 0, 2], dtype=np.uint8)).to_list() == [1, 6]
+    with pytest.raises(ValueError):
+        ResidueSet(field, np.zeros(6, dtype=bool))
+    a = rset(7, [1, 2])
+    built = [sumset_naive(a, a), sumset_conv(a, a), productset_naive(a, a), productset_dlog(a, a),
+             ResidueSet.empty(field), ResidueSet.full(field), rset(7, [5])]
+    for t in built:
+        assert not t.bits.flags.writeable
+        with pytest.raises(ValueError):
+            t.bits[0] = True
