@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -192,23 +193,10 @@ def _cmd_grow(args) -> tuple[dict, dict]:
     field = make_field(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     base, report = build_prime_reciprocal_set(spec)
-    cfg = GrowthConfig(
-        threshold_exponent=args.threshold_exponent,
-        max_iters=args.max_iters,
-        delta=Fraction(1, 4 * args.k),
-    )
+    cfg = GrowthConfig(threshold_exponent=args.threshold_exponent, max_iters=args.max_iters)
     final, trace = grow_until(base, cfg, spec.tuple_length, args.beta)
     result = {
-        "base": {
-            "u": spec.tuple_length,
-            "prime_height": report.prime_height,
-            "prime_count": report.prime_count,
-            "tuple_count": report.tuple_count,
-            "set_size": report.set_size,
-            "regime_holds": report.regime_holds,
-            "size_bound_holds": report.size_bound_holds,
-            "small_beta_regime": report.small_beta_regime,
-        },
+        "base": {"u": spec.tuple_length, **dataclasses.asdict(report)},
         "steps": [
             {
                 "op": s.op_chosen,
@@ -226,7 +214,7 @@ def _cmd_grow(args) -> tuple[dict, dict]:
         "term_bound_capped": trace.term_bound_capped,
         "height_exponent": trace.height_exponent,
     }
-    diagnostics: dict = {"delta": cfg.delta}
+    diagnostics: dict = {"delta": Fraction(1, 4 * args.k)}
     thetas = [s.theta_hat for s in trace.steps if not math.isnan(s.theta_hat)]
     if thetas and min(thetas) > 0:
         theta_min = min(thetas)
@@ -305,16 +293,7 @@ def _cmd_baseset(args) -> tuple[dict, dict]:
     field = make_field(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     members, report = build_prime_reciprocal_set(spec)
-    result = {
-        "u": spec.tuple_length,
-        "prime_height": report.prime_height,
-        "prime_count": report.prime_count,
-        "tuple_count": report.tuple_count,
-        "set_size": report.set_size,
-        "regime_holds": report.regime_holds,
-        "size_bound_holds": report.size_bound_holds,
-        "small_beta_regime": report.small_beta_regime,
-    }
+    result = {"u": spec.tuple_length, **dataclasses.asdict(report)}
     if args.list_members:
         result["members"] = members.to_list()
     return result, {}

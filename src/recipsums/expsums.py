@@ -93,32 +93,35 @@ def exp_sum_profile(t: ResidueSet) -> ExpSumProfile:
     )
 
 
+# Slack on the bilinear bound for the rounding of |f(a)| / (sqrt(p) * |T|).
+_BILINEAR_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class BilinearReport:
     max_ratio: float  # max over a != 0 of |f(a)| / (sqrt(p) * |T|)
     worst_a: int
     holds: bool
-    tolerance: float
 
 
-def verify_bilinear_bound(profile: ExpSumProfile, tolerance: float = 1e-9) -> BilinearReport:
+def verify_bilinear_bound(profile: ExpSumProfile) -> BilinearReport:
     """Check |f(a)| <= sqrt(p)*|T| for all a != 0.
 
-    The bound always holds mathematically, so a violation beyond the
-    tolerance is raised as BoundViolated: it detects implementation bugs.
+    The bound always holds mathematically, so a violation beyond
+    _BILINEAR_TOLERANCE is raised as BoundViolated: it detects implementation bugs.
     |f(a)| = |f(p - a)| as w is real, so worst_a is the smaller mirror of the argmax.
     """
     scale = math.sqrt(profile.p) * profile.set_size
     ratios = profile.f_abs[1:] / scale
     worst = int(np.argmax(ratios)) + 1
     max_ratio = float(ratios[worst - 1]) if ratios.size else 0.0
-    holds = max_ratio <= 1.0 + tolerance
+    holds = max_ratio <= 1.0 + _BILINEAR_TOLERANCE
     if not holds:
         raise BoundViolated(
             f"|f({worst})| = {profile.f_abs[worst]:.6g} exceeds sqrt(p)*|T| = {scale:.6g}"
         )
     worst_a = min(worst, profile.p - worst)
-    return BilinearReport(max_ratio=max_ratio, worst_a=worst_a, holds=holds, tolerance=tolerance)
+    return BilinearReport(max_ratio=max_ratio, worst_a=worst_a, holds=holds)
 
 
 def compute_J(beta: Fraction | float) -> int:

@@ -4,11 +4,14 @@ All values are plain Python integers reduced to [0, p-1]; intermediate
 products never touch floating point. Inversion goes through extended
 Euclid; Fermat exponentiation is available as an independent cross-check.
 Whole arrays of reciprocal powers come from one int64 square-and-multiply.
+A field builds its discrete-log tables on first use and keeps them for as
+long as it lives: there is no table cache shared across fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +74,53 @@ class PrimeField:
                 np.multiply(base, base, out=base)
                 np.remainder(base, p, out=base)
         return result
+
+    @cached_property
+    def dlog_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(powers, dlog), write-locked: powers[i] = g^i mod p and
+        dlog[powers[i]] = i for the primitive root g = primitive_root(p).
+
+        Blocked powers: g^(i+B) = g^B * g^i with the block B doubling each
+        round, so O(log p) numpy passes; the int64 products are exact as
+        (p - 1)^2 < 2^63 for every p <= sets.DENSE_P_MAX.
+        """
+        p = self.p
+        g = primitive_root(p)
+        powers = np.ones(1, dtype=np.int64)
+        while powers.size < p - 1:
+            block = powers[: p - 1 - powers.size]
+            powers = np.concatenate((powers, block * pow(g, powers.size, p) % p))
+        dlog = np.zeros(p, dtype=np.int64)
+        dlog[powers] = np.arange(p - 1, dtype=np.int64)
+        powers.setflags(write=False)
+        dlog.setflags(write=False)
+        return powers, dlog
+
+
+def primitive_root(p: int) -> int:
+    """Smallest primitive root of Z/pZ for a prime p, by deterministic search."""
+    if p == 2:
+        return 1
+    factors = _prime_factors(p - 1)
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+        g += 1
+
+
+def _prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,16 @@ the larger (ties go to the productset). Iteration stops once the
 cardinality exceeds p raised to a configured exponent, compared in exact
 integer arithmetic. The trace records the per-step empirical growth
 exponent together with the term-count and height bookkeeping implied by
-doubling the number of summed terms at every step.
+doubling the number of summed terms at every step. Dense productsets take
+their discrete logs from the field's own tables (PrimeField.dlog_tables),
+so a run builds them at most once and drops them with the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,53 +76,6 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 # productset kernels
 
 
-@lru_cache(maxsize=256)
-def primitive_root(p: int) -> int:
-    """Smallest primitive root of Z/pZ, found by deterministic search."""
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-        g += 1
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _dlog_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, dlog): powers[i] = g^i mod p, dlog[powers[i]] = i.
-
-    Blocked powers: g^(i+B) = g^B * g^i with the block B doubling each round,
-    so O(log p) numpy passes; the int64 products are exact as (p - 1)^2 < 2^63
-    for every p <= DENSE_P_MAX.
-    """
-    g = primitive_root(p)
-    powers = np.ones(1, dtype=np.int64)
-    while powers.size < p - 1:
-        block = powers[: p - 1 - powers.size]
-        powers = np.concatenate((powers, block * pow(g, powers.size, p) % p))
-    dlog = np.zeros(p, dtype=np.int64)
-    dlog[powers] = np.arange(p - 1, dtype=np.int64)
-    powers.setflags(write=False)
-    dlog.setflags(write=False)
-    return powers, dlog
-
-
 def productset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p} by direct enumeration of all member pairs."""
     return _enumerate_pairs(a, b, np.multiply)
@@ -130,9 +84,11 @@ def productset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
     """c[m] = number of pairs (x, y) in A x B with x * y = m mod p. Discrete
     logs make the nonzero products an additive cyclic convolution on
-    Z/(p-1)Z; every pair with a zero factor lands on 0."""
-    p = require_same_field(a, b).p
-    powers, dlog = _dlog_tables(p)
+    Z/(p-1)Z; every pair with a zero factor lands on 0. The tables come
+    from the field, which builds them once."""
+    field = require_same_field(a, b)
+    p = field.p
+    powers, dlog = field.dlog_tables
 
     def exponents(s: ResidueSet) -> tuple[int, np.ndarray]:
         nonzero = s.members()[1:] if 0 in s else s.members()
@@ -169,13 +125,11 @@ class GrowthConfig:
     """Stopping rule for the growth iteration.
 
     threshold_exponent r means: stop once card > p**r, evaluated exactly
-    as card**denominator > p**numerator. delta is informational context
-    for the regime the iteration is expected to operate in.
+    as card**denominator > p**numerator.
     """
 
     threshold_exponent: Fraction = Fraction(2, 3)
     max_iters: int = 64
-    delta: Fraction | None = None
 
     def __post_init__(self) -> None:
         if not (0 < self.threshold_exponent < 1):

@@ -9,13 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    import gmpy2
-
-    _HAS_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _HAS_GMPY2 = False
-
 # Bases 2..37 give a deterministic Miller-Rabin verdict below
 # _MR_CERTIFIED_BELOW = 399165290221 * 798330580441, the smallest strong
 # pseudoprime to all of them; every 64-bit integer lies below it.
@@ -78,8 +71,6 @@ def nth_root_floor(x: int, n: int) -> int:
         raise ValueError("nth_root_floor requires x >= 0 and n >= 1")
     if n == 1 or x < 2:
         return x
-    if _HAS_GMPY2:
-        return int(gmpy2.iroot(gmpy2.mpz(x), n)[0])
     # Integer Newton iteration, converging from above.
     r = 1 << -(-x.bit_length() // n)
     while True:

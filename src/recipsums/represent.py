@@ -10,7 +10,9 @@ Z/pZ with generators G (r = 0 itself needs at least one step). Every
 residue is reached within p steps because x = 1 is always admissible
 (a copies of 1 sum to a). A witness is recovered by backtracking along
 the distances, one vectorised probe over all bases per term; ties resolve
-to the lexicographically smallest sequence.
+to the lexicographically smallest sequence. A problem computes its distance
+table on first use and keeps it for as long as it lives; nothing outlives
+the problem, so a batch of problems holds one table at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +65,11 @@ class ReprProblem:
         recips.setflags(write=False)
         return recips
 
+    @cached_property
+    def layer_table(self) -> "LayerTable":
+        """The BFS distance table (see build_layer_table), built once."""
+        return _layer_table(self)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -103,20 +110,17 @@ def base_reciprocals(problem: ReprProblem) -> ResidueSet:
     return ResidueSet.from_members(problem.field, problem.reciprocals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerTable:
     """Minimal term count of every residue, as BFS distances from 0."""
 
-    problem: ReprProblem
     base: ResidueSet
     coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
 
 
-def build_layer_table(problem: ReprProblem, cached: bool = True) -> LayerTable:
-    """The minimal term counts of problem. Up to 32 tables are kept for
-    reuse unless cached is False; scan passes False, as it builds each
-    table once and the cache would only hold memory."""
-    return _cached_layer_table(problem) if cached else _layer_table(problem)
+def build_layer_table(problem: ReprProblem) -> LayerTable:
+    """The minimal term counts of problem, computed once per problem."""
+    return problem.layer_table
 
 
 def _layer_table(problem: ReprProblem) -> LayerTable:
@@ -163,10 +167,7 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
         coverage[frontier] = level
         remaining -= frontier.size
     coverage.setflags(write=False)
-    return LayerTable(problem=problem, base=base, coverage=coverage)
-
-
-_cached_layer_table = lru_cache(maxsize=32)(_layer_table)
+    return LayerTable(base=base, coverage=coverage)
 
 
 def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
@@ -211,7 +212,7 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
     }
     try:
         problem = ReprProblem(make_field(p), k, epsilon)
-        table = build_layer_table(problem, cached=False)
+        table = build_layer_table(problem)
         row["H"] = problem.height
         row["base_size"] = table.base.card
         # max_layer is kept for CSV format stability: the deepest BFS level is n_max.

@@ -110,6 +110,22 @@ def test_expsum_computes_pair_products_once(capsys, monkeypatch):
     assert calls == [211]
 
 
+def test_represent_runs_one_bfs(capsys, monkeypatch):
+    from recipsums import represent
+
+    layer_table = represent._layer_table
+    calls = []
+
+    def counting(problem):
+        calls.append(problem.field.p)
+        return layer_table(problem)
+
+    monkeypatch.setattr(represent, "_layer_table", counting)
+    doc = run_json(capsys, "represent", "--p", "1009", "--k", "2", "--epsilon", "1/2", "--a", "5")
+    assert doc["diagnostics"]["base_size"] > 0
+    assert calls == [1009]
+
+
 def test_expsum_pipeline_auto_J(capsys):
     doc = run_json(capsys, "expsum", "--p", "101", "--grow", "--k", "1", "--beta", "1/4", "--auto-J")
     covering = doc["result"]["covering"]

@@ -18,7 +18,8 @@ from recipsums.expsums import (
     _half_power_minimum,
     pair_product_multiplicity,
 )
-from recipsums.growth import GrowthConfig, grow_until, primitive_root
+from recipsums.field import primitive_root
+from recipsums.growth import GrowthConfig, grow_until
 
 
 @lru_cache(maxsize=None)

@@ -22,11 +22,10 @@ from recipsums import (
     term_budget,
 )
 from recipsums import growth
+from recipsums.field import primitive_root
 from recipsums.growth import (
     PRODUCT,
     SUM,
-    _dlog_tables,
-    primitive_root,
     product_counts,
     productset_dlog,
     productset_naive,
@@ -141,10 +140,25 @@ def test_dlog_tables_match_loop(p):
         powers.append(acc)
         dlog[acc] = i
         acc = acc * g % p
-    got_powers, got_dlog = _dlog_tables(p)
+    got_powers, got_dlog = make_field(p).dlog_tables
     assert got_powers.tolist() == powers
     assert got_dlog.tolist() == dlog
     assert not got_powers.flags.writeable and not got_dlog.flags.writeable
+
+
+def test_grow_until_builds_dlog_tables_once_per_field(monkeypatch):
+    from recipsums import field as field_module
+
+    roots, dense = [], []
+    root, dlog_kernel = field_module.primitive_root, growth.productset_dlog
+    monkeypatch.setattr(field_module, "primitive_root", lambda p: roots.append(p) or root(p))
+    monkeypatch.setattr(growth, "productset_dlog", lambda a, b: dense.append(a.card) or dlog_kernel(a, b))
+    field = make_field(10007)
+    cfg = GrowthConfig(threshold_exponent=Fraction(9, 10))
+    for seed in [range(1, 60), [1, 2, 3]]:  # one dense productset in each run
+        grow_until(ResidueSet.from_members(field, seed), cfg, 1, Fraction(1, 4))
+    assert dense == [1097, 1373] and roots == [10007]
+    assert "dlog_tables" in vars(field)
 
 
 def test_grow_step_degenerate_zero():

@@ -63,14 +63,23 @@ def test_inv_mod_rejects_noncoprime():
 
 
 def test_nth_root_floor_exact_boundaries():
-    for base in [1, 2, 3, 10, 101]:
-        for n in [1, 2, 3, 5, 7]:
-            x = base**n
-            assert nth_root_floor(x, n) == base
-            if x > 1:
-                assert nth_root_floor(x - 1, n) == base - 1
-            if n > 1:
-                assert nth_root_floor(x + 1, n) == base
+    cases = [(base, n) for base in [1, 2, 3, 10, 101] for n in [1, 2, 3, 5, 7]]
+    cases += [(10**40 + 7, n) for n in [2, 3, 7]]
+    for base, n in cases:
+        x = base**n
+        assert nth_root_floor(x, n) == base
+        if x > 1:
+            assert nth_root_floor(x - 1, n) == base - 1
+        if n > 1:
+            assert nth_root_floor(x + 1, n) == base
+    # Roots of 10**600 - 1 and 10**600 + 1, far beyond any float.
+    for n in [2, 3, 5, 7, 600]:
+        for x in [10**600 - 1, 10**600 + 1]:
+            r = nth_root_floor(x, n)
+            assert r**n <= x < (r + 1) ** n
+    for n in [2, 3, 5, 600]:
+        assert nth_root_floor(10**600 - 1, n) == 10 ** (600 // n) - 1
+        assert nth_root_floor(10**600 + 1, n) == 10 ** (600 // n)
 
 
 def test_pow_floor():

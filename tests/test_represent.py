@@ -1,6 +1,8 @@
 import concurrent.futures
+import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from recipsums import (
     ReprProblem,
+    ResidueSet,
     base_reciprocals,
     build_layer_table,
     make_field,
@@ -22,7 +25,7 @@ from recipsums import (
 from recipsums.basesets import primes_up_to
 from recipsums.bruteforce import exhaustive_depth_table, exhaustive_min_terms
 from recipsums.field import PrimeField
-from recipsums.growth import sumset
+from recipsums.growth import productset_dlog, productset_naive, sumset
 from recipsums import represent
 from recipsums.represent import check_representation
 
@@ -165,17 +168,51 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
 
     monkeypatch.setattr(PrimeField, "recip_power", counted)
     pr = problem(1009, 1, Fraction(1, 1))
-    table = build_layer_table(pr, cached=False)
+    table = build_layer_table(pr)
     assert table.base == base_reciprocals(pr)
     assert calls == []
 
 
-def test_scan_bypasses_table_cache():
-    represent._cached_layer_table.cache_clear()
-    scan(primes_up_to(200), 2, Fraction(1, 2))
-    assert represent._cached_layer_table.cache_info().currsize == 0
-    build_layer_table(problem(199, 2, Fraction(1, 2)))
-    assert represent._cached_layer_table.cache_info().currsize == 1
+def test_scan_keeps_no_table_alive(monkeypatch):
+    refs = []
+    build = represent.build_layer_table
+
+    def tracked(pr):
+        table = build(pr)
+        refs.append((weakref.ref(pr), weakref.ref(table), weakref.ref(table.coverage)))
+        return table
+
+    monkeypatch.setattr(represent, "build_layer_table", tracked)
+    rows = scan(primes_up_to(200), 2, Fraction(1, 2))
+    gc.collect()
+    assert len(refs) == len(rows) == 46
+    assert all(ref() is None for row in refs for ref in row)
+
+
+def test_tables_are_freed_with_their_objects():
+    """Discrete-log and BFS tables live on the field and the problem: once
+    those are dropped, the traced memory returns to where it started."""
+    primes = [q for q in primes_up_to(41_000) if q > 40_000][:5]
+    rng = np.random.default_rng(0)
+
+    def work(p):
+        field = make_field(p)
+        a = ResidueSet.from_members(field, rng.choice(p, 300, replace=False))
+        assert productset_dlog(a, a) == productset_naive(a, a)
+        assert build_layer_table(ReprProblem(field, 2, Fraction(1, 3))).coverage.size == p
+
+    work(primes.pop())  # first calls may allocate lasting interpreter state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for p in primes:
+            work(p)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10  # a cached table alone would hold over 320 KiB per prime
 
 
 @st.composite
