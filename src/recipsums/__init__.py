@@ -1,133 +1,95 @@
-"""Reciprocal-power sums, sum-product growth, and covering counts mod p."""
+"""Reciprocal-power sums, sum-product growth, and covering counts mod p.
+
+The public names below load their submodule on first access (PEP 562), so
+``import recipsums`` alone imports neither numpy nor any layer module, and
+the command line can configure numpy before its first import.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .basesets import (
-    BaseSetSpec,
-    DistinctnessReport,
-    MultiplicativityReport,
-    SmoothSet,
-    build_prime_reciprocal_set,
-    build_smooth_set,
-    check_multiplicative_conditions,
-    compute_u,
-    primes_up_to,
-)
-from .errors import (
-    BoundViolated,
-    EmptyBase,
-    Error,
-    FieldMismatch,
-    IterationCap,
-    NonPositiveBeta,
-    NonPositiveTheta,
-    NonPositiveU,
-    NotInvertible,
-    NotPrime,
-    Stalled,
-    Unreachable,
-    ZeroInverse,
-)
-from .expsums import (
-    BilinearReport,
-    CoveringPositivity,
-    CoveringTable,
-    ExpSumProfile,
-    check_covering_positivity,
-    compute_J,
-    covering_counts,
-    covering_counts_fourier,
-    exp_sum_profile,
-    f_profile,
-    h_profile,
-    minimal_covering_J,
-    pair_product_multiplicity,
-    verify_bilinear_bound,
-)
-from .field import PrimeField, Residue, make_field, mod_inv, recip_power
-from .growth import (
-    GrowthConfig,
-    GrowthStep,
-    GrowthTrace,
-    grow_step,
-    grow_until,
-    n_bound,
-    productset,
-    sumset,
-    term_budget,
-)
-from .represent import (
-    LayerTable,
-    ReprProblem,
-    Witness,
-    base_reciprocals,
-    build_layer_table,
-    min_terms,
-    n_max,
-    scan,
-    verify_witness,
-)
-from .sets import ResidueSet
+_EXPORTS = {
+    "basesets": (
+        "BaseSetSpec",
+        "DistinctnessReport",
+        "MultiplicativityReport",
+        "SmoothSet",
+        "build_prime_reciprocal_set",
+        "build_smooth_set",
+        "check_multiplicative_conditions",
+        "compute_u",
+        "primes_up_to",
+    ),
+    "errors": (
+        "BoundViolated",
+        "EmptyBase",
+        "Error",
+        "FieldMismatch",
+        "IterationCap",
+        "NonPositiveBeta",
+        "NonPositiveTheta",
+        "NonPositiveU",
+        "NotInvertible",
+        "NotPrime",
+        "Stalled",
+        "Unreachable",
+        "ZeroInverse",
+    ),
+    "expsums": (
+        "BilinearReport",
+        "CoveringPositivity",
+        "CoveringTable",
+        "ExpSumProfile",
+        "check_covering_positivity",
+        "compute_J",
+        "covering_counts",
+        "covering_counts_fourier",
+        "exp_sum_profile",
+        "f_profile",
+        "h_profile",
+        "minimal_covering_J",
+        "pair_product_multiplicity",
+        "verify_bilinear_bound",
+    ),
+    "field": ("PrimeField", "Residue", "make_field", "mod_inv", "recip_power"),
+    "growth": (
+        "GrowthConfig",
+        "GrowthStep",
+        "GrowthTrace",
+        "grow_step",
+        "grow_until",
+        "n_bound",
+        "productset",
+        "sumset",
+        "term_budget",
+    ),
+    "represent": (
+        "LayerTable",
+        "ReprProblem",
+        "Witness",
+        "base_reciprocals",
+        "build_layer_table",
+        "min_terms",
+        "n_max",
+        "scan",
+        "verify_witness",
+    ),
+    "sets": ("ResidueSet",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BaseSetSpec",
-    "BilinearReport",
-    "BoundViolated",
-    "CoveringPositivity",
-    "CoveringTable",
-    "DistinctnessReport",
-    "EmptyBase",
-    "Error",
-    "ExpSumProfile",
-    "FieldMismatch",
-    "GrowthConfig",
-    "GrowthStep",
-    "GrowthTrace",
-    "IterationCap",
-    "LayerTable",
-    "MultiplicativityReport",
-    "NonPositiveBeta",
-    "NonPositiveTheta",
-    "NonPositiveU",
-    "NotInvertible",
-    "NotPrime",
-    "PrimeField",
-    "ReprProblem",
-    "Residue",
-    "ResidueSet",
-    "SmoothSet",
-    "Stalled",
-    "Unreachable",
-    "Witness",
-    "ZeroInverse",
-    "base_reciprocals",
-    "build_layer_table",
-    "build_prime_reciprocal_set",
-    "build_smooth_set",
-    "check_covering_positivity",
-    "check_multiplicative_conditions",
-    "compute_J",
-    "compute_u",
-    "covering_counts",
-    "covering_counts_fourier",
-    "exp_sum_profile",
-    "f_profile",
-    "grow_step",
-    "grow_until",
-    "h_profile",
-    "make_field",
-    "min_terms",
-    "minimal_covering_J",
-    "mod_inv",
-    "n_bound",
-    "n_max",
-    "pair_product_multiplicity",
-    "primes_up_to",
-    "productset",
-    "recip_power",
-    "scan",
-    "sumset",
-    "term_budget",
-    "verify_bilinear_bound",
-    "verify_witness",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,7 +19,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -136,15 +135,17 @@ def compute_J(beta: Fraction | float) -> int:
     return math.floor(2 * (1 + 2 * b) / b) + 1
 
 
-@lru_cache(maxsize=1)
 def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
     """w[m] = number of ordered pairs (t1, t2) in T x T with t1*t2 = m mod p.
 
     The profile, the covering counts and the minimal-J search all start from
-    this vector, so the last one is kept; it is returned write-locked.
+    this vector, so T keeps it, write-locked, and frees it with itself.
     """
-    w = product_counts(t, t)
-    w.setflags(write=False)
+    w = t._pair_products
+    if w is None:
+        w = product_counts(t, t)
+        w.setflags(write=False)
+        object.__setattr__(t, "_pair_products", w)
     return w
 
 

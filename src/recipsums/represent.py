@@ -8,15 +8,24 @@ which is exact because every product of two residues is at most
 residue r is its breadth-first distance from 0 in the Cayley digraph of
 Z/pZ with generators G (r = 0 itself needs at least one step). Every
 residue is reached within p steps because x = 1 is always admissible
-(a copies of 1 sum to a). A witness is recovered by backtracking along
-the distances, one vectorised probe over all bases per term; ties resolve
-to the lexicographically smallest sequence. A problem computes its distance
-table on first use and keeps it for as long as it lives; nothing outlives
-the problem, so a batch of problems holds one table at a time.
+(a copies of 1 sum to a). Each BFS level runs one of three kernels, the
+one a cost model of the frontier size, the unreached count, H and p
+expects to be cheapest: a numpy push (all sums of a sparse frontier with
+G), a word-parallel shift (the frontier as a Python-int bitmap, shifted by
+each generator and OR-ed, stopping once every unreached residue is hit),
+or a blocked numpy pull (each unreached u probes u - g) when the base is
+too large for a shift pass. Consecutive shift levels stay in bit form and
+reach the distance table once, through bit planes. A witness is recovered
+by backtracking along the distances, one vectorised probe over all bases
+per term; ties resolve to the lexicographically smallest sequence. A
+problem computes its distance table on first use and keeps it for as long
+as it lives; nothing outlives the problem, so a batch of problems holds
+one table at a time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -126,48 +135,189 @@ def build_layer_table(problem: ReprProblem) -> LayerTable:
 def _layer_table(problem: ReprProblem) -> LayerTable:
     """BFS from 0 over the generators G: level j+1 is (level j + G) minus
     the residues already reached. Residue 0 starts unreached, so it gets
-    its minimal positive count. Each level is pushed (all sums of the
-    frontier with G) while that is at most four times the unreached count,
-    which keeps the temporary O(p); otherwise it is pulled (each unreached
-    u whose u - g lies in the frontier for some g in G)."""
+    its minimal positive count; level 1 is G itself, as 0 is not in G.
+    Each later level runs the kernel that _kernel_chooser expects to be
+    cheapest. The push and the pull hold the frontier as an index array and
+    write each level into coverage at once. The shift holds the frontier
+    and the unreached set as Python-int bitmaps from level to level; its
+    levels reach coverage as bit planes, once, when the BFS leaves bit form.
+    The planes are about log2(depth) ints of p bits, so memory stays O(p)."""
     p = problem.field.p
     base = base_reciprocals(problem)
     gens = base.members()
-    back = p - gens  # u - g taken as u + (p - g) in a doubled frontier bitmap
+    gen_list: list[int] = []  # gens as Python ints, made for the first shift level
     coverage = np.zeros(p, dtype=np.int64)
-    remaining = p
-    frontier = np.zeros(1, dtype=np.int64)
-    level = 0
+    coverage[gens] = 1
+    frontier = gens  # None while the BFS is in bit form
+    front = unreached = 0  # bit form: bit r stands for residue r
+    planes: list[int] = []  # planes[b]: residues of bit-form levels with bit b of the level set
+    choose = _kernel_chooser(gens.size, p)
+    size, remaining, level = gens.size, p - gens.size, 1
     while remaining:
         level += 1
-        if frontier.size * gens.size <= 4 * remaining:
-            sums = (frontier[:, None] + gens).ravel()
-            np.subtract(sums, p, out=sums, where=sums >= p)
-            sums = sums[coverage[sums] == 0]
-            # Deduplicate without sorting: tag each sum's slot in coverage,
-            # and keep the one occurrence per residue whose tag survived.
-            tags = np.arange(-1, -1 - sums.size, -1)
-            coverage[sums] = tags
-            frontier = sums[coverage[sums] == tags]
+        kernel = choose(size, remaining, frontier is None)
+        if kernel is _shift:
+            if frontier is not None:
+                front, unreached = _to_bits(coverage == level - 1), _to_bits(coverage == 0)
+                frontier, gen_list = None, gen_list or gens.tolist()
+            front = _shift(front, unreached, gen_list, p, size, remaining)
+            unreached ^= front
+            size = front.bit_count()
+            planes += [0] * (level.bit_length() - len(planes))
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    planes[b] |= front
         else:
-            in_frontier = np.zeros(2 * p, dtype=bool)
-            in_frontier[frontier] = True
-            in_frontier[frontier + p] = True
-            pending = np.flatnonzero(coverage == 0)
-            hits, i = [], 0
-            while pending.size and i < back.size:
-                width = max(1, p // pending.size)  # at most about p probes at once
-                hit = in_frontier[pending[:, None] + back[i : i + width]].any(axis=1)
-                hits.append(pending[hit])
-                pending = pending[~hit]
-                i += width
-            frontier = np.concatenate(hits)
-        if not frontier.size:  # pragma: no cover - 1 is a generator, so no level is empty
+            if frontier is None:
+                _write_planes(coverage, planes)
+                planes, frontier = [], np.flatnonzero(_from_bits(front, p))
+            frontier = kernel(frontier, gens, coverage)
+            coverage[frontier] = level
+            size = frontier.size
+        if not size:  # pragma: no cover - 1 is a generator, so no level is empty
             raise RuntimeError(f"BFS stalled with {remaining} residues unreached")
-        coverage[frontier] = level
-        remaining -= frontier.size
+        remaining -= size
+    _write_planes(coverage, planes)
     coverage.setflags(write=False)
     return LayerTable(base=base, coverage=coverage)
+
+
+# Cost model of one BFS level, in nanoseconds, fitted to per-level timings of
+# each kernel on the tools/bench_bfs.py ladder (2 vCPUs, Python 3.11, numpy 2.4).
+_PUSH_NS = (12_000, 25)  # fixed; per sum of a frontier residue and a generator
+_PULL_NS = (10_000, 6, 30)  # fixed; per residue of Z/pZ; per probe of an unreached residue
+_SHIFT_NS = (300, 0.068)  # per generator: fixed; per residue of Z/pZ
+_SWITCH_NS = (10_000, 2)  # between index and bit form: fixed; per residue of Z/pZ
+_PUSH_SUMS_PER_RESIDUE = 4  # a push holds at most 4p sums, so its temporaries stay O(p)
+# The shift is priced at its expected early stop only while a pass through
+# all generators would cost at most this many times the cheaper index kernel.
+_SHIFT_RISK = 4
+
+
+def _kernel_chooser(h: int, p: int):
+    """A function (size, remaining, in_bits) -> the kernel expected to expand a
+    frontier of size residues fastest, with remaining residues unreached, h
+    generators and the frontier in bit form or not.
+
+    The push costs one sum per frontier residue and generator. The pull
+    probes each unreached u against u - g, generator by generator, until a
+    probe hits the frontier: about p / size probes each, never more than h.
+    The shift costs one pass over a p-bit int per generator. It stops early
+    only on a level that reaches every residue left, and a residue that needs
+    one more term (0, say, when no two generators sum to it) makes it run
+    through all h; so it is priced at its expected stop only where that
+    worst case costs at most _SHIFT_RISK times the cheaper index kernel.
+    Changing between index and bit form costs O(p)."""
+    step = _SHIFT_NS[0] + _SHIFT_NS[1] * p
+    switch = _SWITCH_NS[0] + _SWITCH_NS[1] * p
+    max_sums = _PUSH_SUMS_PER_RESIDUE * p
+    # Below this many sums a push costs less than any pull and any shift
+    # from index form can, which settles the many small levels of a deep BFS
+    # without the full comparison.
+    floor = min(_PULL_NS[0] + _PULL_NS[1] * p, 4 * step + switch)
+    cheap_sums = (floor - _PUSH_NS[0]) / _PUSH_NS[1]
+
+    def choose(size: int, remaining: int, in_bits: bool):
+        sums = size * h
+        if sums <= cheap_sums and not in_bits:
+            return _push
+        push = _PUSH_NS[0] + _PUSH_NS[1] * sums if sums <= max_sums else math.inf
+        pull = _PULL_NS[0] + _PULL_NS[1] * p + _PULL_NS[2] * remaining * min(h, p / size)
+        shift = (h + 3) * step
+        if in_bits:
+            push, pull = push + switch, pull + switch
+        else:
+            shift += switch
+        index = min(push, pull)
+        if shift > index and shift <= _SHIFT_RISK * index:
+            shift = (min(h, _expected_stop(size, remaining, p)) + 3) * step
+        if shift <= index:
+            return _shift
+        return _push if push <= pull else _pull
+
+    return choose
+
+
+def _expected_stop(size: int, remaining: int, p: int) -> int:
+    """Generators a shift pass needs to hit all remaining residues, if they
+    can all be hit: each generator hits each with probability about
+    size / p, so about ln(remaining) / -ln(1 - size / p)."""
+    if size >= p:
+        return 1
+    return max(1, math.ceil(math.log(remaining) / -math.log1p(-size / p)))
+
+
+def _push(frontier: np.ndarray, gens: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """The next level from all sums of the frontier with G."""
+    p = coverage.size
+    sums = (frontier[:, None] + gens).ravel()
+    np.subtract(sums, p, out=sums, where=sums >= p)
+    sums = sums[coverage[sums] == 0]
+    # Deduplicate without sorting: tag each sum's slot in coverage,
+    # and keep the one occurrence per residue whose tag survived.
+    tags = np.arange(-1, -1 - sums.size, -1)
+    coverage[sums] = tags
+    return sums[coverage[sums] == tags]
+
+
+def _pull(frontier: np.ndarray, gens: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """The next level as each unreached u with u - g in the frontier for some g."""
+    p = coverage.size
+    back = p - gens  # u - g taken as u + (p - g) in a doubled frontier bitmap
+    in_frontier = np.zeros(2 * p, dtype=bool)
+    in_frontier[frontier] = True
+    in_frontier[frontier + p] = True
+    pending = np.flatnonzero(coverage == 0)
+    hits, i = [], 0
+    while pending.size and i < back.size:
+        width = max(1, p // pending.size)  # at most about p probes at once
+        hit = in_frontier[pending[:, None] + back[i : i + width]].any(axis=1)
+        hits.append(pending[hit])
+        pending = pending[~hit]
+        i += width
+    return np.concatenate(hits)
+
+
+def _shift(front: int, unreached: int, gens: list[int], p: int, size: int, remaining: int) -> int:
+    """The next level in bit form: the OR of front << g over G, with bit r + p
+    folded onto bit r, restricted to the unreached bits. The pass checks
+    whether every unreached residue is hit, and so whether it can stop, first
+    after the expected number of generators, then at doubling intervals."""
+    mask = (1 << p) - 1
+    acc, start, stop, step = 0, 0, _expected_stop(size, remaining, p), 4
+    while True:
+        for g in gens[start:stop]:
+            acc |= front << g
+        hit = ((acc >> p) | (acc & mask)) & unreached
+        if stop >= len(gens) or hit == unreached:
+            return hit
+        start, stop, step = stop, stop + step, 2 * step
+
+
+def _to_bits(indicator: np.ndarray) -> int:
+    """A bool vector as an int whose bit r is indicator[r]."""
+    return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(), "little")
+
+
+def _from_bits(bits: int, p: int) -> np.ndarray:
+    """The 0/1 uint8 vector of length p whose entry r is bit r of bits."""
+    raw = np.frombuffer(bits.to_bytes((p + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=p, bitorder="little")
+
+
+def _write_planes(coverage: np.ndarray, planes: list[int]) -> None:
+    """Add the levels held as bit planes to coverage, where they are still 0.
+    The planes are summed in the narrowest unsigned dtype first, so that
+    coverage is read and written once; depth < p < 2**32 keeps it uint32
+    at most, which adds to int64 exactly."""
+    if not planes:
+        return
+    weight = np.min_scalar_type((1 << len(planes)) - 1).type
+    levels = _from_bits(planes[0], coverage.size).astype(weight, copy=False)
+    for b, plane in enumerate(planes[1:], 1):
+        if plane:
+            levels += _from_bits(plane, coverage.size) * weight(1 << b)
+    coverage += levels
 
 
 def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:

@@ -28,7 +28,8 @@ class ResidueSet:
     after construction; all set operations allocate fresh results.
     """
 
-    __slots__ = ("field", "bits", "card")
+    # _pair_products holds expsums.pair_product_multiplicity of the set once computed.
+    __slots__ = ("field", "bits", "card", "_pair_products")
 
     def __init__(self, field: PrimeField, bits: np.ndarray):
         # np.array always copies, so the caller keeps no handle on the bitmap.
@@ -48,6 +49,7 @@ class ResidueSet:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "card", int(bits.sum()))
+        object.__setattr__(self, "_pair_products", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueSet is immutable")

@@ -101,7 +101,6 @@ def test_expsum_computes_pair_products_once(capsys, monkeypatch):
         calls.append(a.field.p)
         return product_counts(a, b)
 
-    expsums.pair_product_multiplicity.cache_clear()
     monkeypatch.setattr(expsums, "product_counts", counting)
     doc = run_json(
         capsys, "expsum", "--p", "211", "--random-size", "40", "--seed", "3", "--J", "4", "--min-J"
@@ -315,3 +314,57 @@ def test_json_safe_lists():
     kept = cli._json_safe([True, 0])
     assert kept == [True, 0] and type(kept[0]) is bool
     assert json.dumps(cli._json_safe({"h": [2, 1], "x": []})) == '{"h": [2, 1], "x": []}'
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"result": {"histogram": [3, 1, 2], "n_max": 3}, "version": "0.1.0"},
+        {"a": {"b": {"c": [[1, -2], [], [3]]}}, "d": [-1], "e": []},
+        {"flags": [True, False], "mixed": [1, True], "floats": [1.5, 2], "bigs": [10**30, -(10**30)]},
+        [[1, 2], [3, [4, 5]], []],
+        [7, 8],
+        {"nul": "\0" + "0", "ints": [5, 6]},  # a string that looks like a splice stub
+        {"quote": 'a"\0', "ints": [1]},
+        {},
+        [],
+    ],
+)
+def test_dump_json_matches_indented_dumps(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dump_json_on_an_nmax_document(capsys):
+    code, out = run_cli(capsys, "nmax", "--p", "1009", "--k", "2", "--epsilon", "1/3")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _fresh_python(code, **env):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=environ, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_import_recipsums_leaves_numpy_unloaded():
+    out = _fresh_python(
+        "import sys, recipsums\n"
+        "print('numpy' in sys.modules)\n"
+        "from recipsums import *\n"
+        "print(all(getattr(recipsums, n) is globals()[n] for n in recipsums.__all__))"
+    )
+    assert out.split() == ["False", "True"]
+
+
+def test_cli_sets_one_blas_thread_unless_told_otherwise():
+    code = "import os, recipsums.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code) == "1"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -263,5 +265,25 @@ def test_minimal_covering_J_matches_counts():
 def test_pair_product_multiplicity_is_shared_and_locked():
     t = rset(31, [2, 3, 5, 7, 11])
     w = pair_product_multiplicity(t)
-    assert pair_product_multiplicity(rset(31, [2, 3, 5, 7, 11])) is w
+    assert pair_product_multiplicity(t) is w
     assert not w.flags.writeable
+    # an equal but distinct set computes its own w
+    other = pair_product_multiplicity(rset(31, [2, 3, 5, 7, 11]))
+    assert other is not w and np.array_equal(other, w)
+
+
+def test_pair_product_multiplicity_is_freed_with_its_set():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        t = rset(30011, random.Random("w-freed").sample(range(30011), 1500))
+        verify_bilinear_bound(exp_sum_profile(t))
+        held = tracemalloc.get_traced_memory()[0] - start
+        del t
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held > 30011 * 8  # w alone is a length-p int64 vector
+    assert left < 64 * 1024

@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import itertools
 import random
 import tracemalloc
 import weakref
@@ -44,13 +45,17 @@ def exact_layer(pr, j):
 
 
 def minimal_layer_counts(pr):
-    """For every residue, the first j whose exact layer contains it."""
+    """For every residue, the first j whose exact layer contains it. The
+    layers are iterated sumsets with the base, built in a loop: a deep BFS
+    has thousands of levels, too many for exact_layer's recursion."""
+    base = base_reciprocals(pr)
     counts = np.zeros(pr.field.p, dtype=np.int64)
-    j = 0
-    while not counts.all():
-        j += 1
-        counts[exact_layer(pr, j).bits & (counts == 0)] = j
-    return counts
+    layer, j = base, 1
+    while True:
+        counts[layer.bits & (counts == 0)] = j
+        if counts.all():
+            return counts
+        layer, j = sumset(layer, base), j + 1
 
 
 def test_height_and_admissible():
@@ -171,6 +176,135 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
     table = build_layer_table(pr)
     assert table.base == base_reciprocals(pr)
     assert calls == []
+
+
+KERNELS = (represent._push, represent._pull, represent._shift)
+
+
+def force_kernel(monkeypatch, pick):
+    """Make every BFS level run pick(level, size, remaining) instead of the
+    chooser's kernel."""
+
+    def chooser(h, p):
+        level = itertools.count(2)  # level 1 is the base itself
+        return lambda size, remaining, in_bits: pick(next(level), size, remaining)
+
+    monkeypatch.setattr(represent, "_kernel_chooser", chooser)
+
+
+def spy_kernels(monkeypatch):
+    """The kernels the real chooser picks, level by level, appended to a list."""
+    chosen = []
+    real = represent._kernel_chooser
+
+    def chooser(h, p):
+        choose = real(h, p)
+
+        def spied(size, remaining, in_bits):
+            chosen.append(choose(size, remaining, in_bits))
+            return chosen[-1]
+
+        return spied
+
+    monkeypatch.setattr(represent, "_kernel_chooser", chooser)
+    return chosen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "epsilon", [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1, 1)]
+)
+def test_each_kernel_matches_exact_layers(monkeypatch, k, epsilon):
+    # A forced push has no memory guard, so the widest bases get smaller primes.
+    top = 1_200 if epsilon >= Fraction(9, 10) else 10_000
+    rng = random.Random(f"kernels/{k}/{epsilon}")
+    p = rng.choice([q for q in primes_up_to(top) if q >= top // 2])
+    pr = problem(p, k, epsilon)
+    expected = minimal_layer_counts(pr)
+    assert np.array_equal(represent._layer_table(pr).coverage, expected)
+    for kernel in KERNELS:
+        force_kernel(monkeypatch, lambda level, size, remaining: kernel)
+        assert np.array_equal(represent._layer_table(pr).coverage, expected), kernel
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_kernel_on_the_smallest_primes(monkeypatch, p):
+    for k in (1, 2, 3):
+        for h in range(1, p + 1):
+            pr = problem(p, k, epsilon_for_height(p, h))
+            expected = exhaustive_depth_table(pr)
+            for kernel in KERNELS:
+                force_kernel(monkeypatch, lambda level, size, remaining: kernel)
+                assert represent._layer_table(pr).coverage.tolist() == expected
+
+
+def test_kernel_switches_keep_the_table_exact(monkeypatch):
+    # Index form to bit form and back, more than once, through every kernel.
+    pr = problem(9973, 1, Fraction(1, 4))  # frontier sizes 9, 39, ..., 1558, ..., 166, 31
+    expected = minimal_layer_counts(pr)
+    seen = []
+
+    def sparse_dense_sparse(level, size, remaining):
+        seen.append(represent._push if size < 200 else represent._shift)
+        return seen[-1]
+
+    force_kernel(monkeypatch, sparse_dense_sparse)
+    assert np.array_equal(represent._layer_table(pr).coverage, expected)
+    runs = [kernel for i, kernel in enumerate(seen) if i == 0 or seen[i - 1] is not kernel]
+    assert runs == [represent._push, represent._shift, represent._push]
+
+    cycle = (represent._push, represent._shift, represent._shift, represent._pull, represent._shift)
+    force_kernel(monkeypatch, lambda level, size, remaining: cycle[level % len(cycle)])
+    assert np.array_equal(represent._layer_table(pr).coverage, expected)
+
+
+class RecordedSlices(list):
+    """A generator list that records how far a shift pass read into it."""
+
+    read = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.read = max(self.read, min(index.stop, len(self)))
+        return super().__getitem__(index)
+
+
+def bits_of(residues):
+    return sum(1 << r for r in residues)
+
+
+def test_shift_pass_stops_once_every_unreached_residue_is_hit():
+    # All of 1..10 is the frontier mod 11: the first generator already hits 0.
+    gens = RecordedSlices(range(1, 11))
+    hit = represent._shift(bits_of(range(1, 11)), bits_of([0]), gens, 11, 10, 1)
+    assert hit == bits_of([0])
+    assert gens.read == 1
+
+
+def test_shift_pass_runs_through_all_generators_when_it_must():
+    # Only the last generator reaches 5 from 0, and nothing reaches 7.
+    for unreached, expected in (([5], [5]), ([5, 7], [5])):
+        gens = RecordedSlices([1, 2, 3, 4, 5])
+        hit = represent._shift(1, bits_of(unreached), gens, 11, 1, len(unreached))
+        assert hit == bits_of(expected)
+        assert gens.read == len(gens)
+
+
+@pytest.mark.parametrize(
+    "k, epsilon, kernel",
+    [
+        (1, Fraction(1, 8), represent._push),  # deep: a dozen residues per level
+        (2, Fraction(1, 2), represent._shift),  # dense levels, 100 generators
+        (1, Fraction(9, 10), represent._pull),  # a base too large for a shift pass
+    ],
+)
+def test_chooser_picks_the_one_fast_kernel(monkeypatch, k, epsilon, kernel):
+    rng = random.Random(f"chooser/{k}/{epsilon}")
+    for p in rng.sample([q for q in primes_up_to(10_500) if q >= 9_500], 3):
+        chosen = spy_kernels(monkeypatch)
+        pr = problem(p, k, epsilon)
+        assert np.array_equal(represent._layer_table(pr).coverage, minimal_layer_counts(pr))
+        assert chosen and set(chosen) == {kernel}, (p, chosen)
 
 
 def test_scan_keeps_no_table_alive(monkeypatch):
