@@ -10,17 +10,22 @@ Subcommands:
   smoothset  smooth multiplicative set with closure/density checks
 
 Exponents are exact rationals written as "num/den" (or a bare integer);
-floating-point forms are rejected. JSON output is canonical (sorted keys);
-repeated runs with the same arguments produce byte-identical reports.
-Exit codes: 0 success, 1 domain or internal error (incl. out of memory), 2 usage error.
+floating-point forms are rejected. JSON output is canonical (sorted keys,
+indent 2); repeated runs with the same arguments produce byte-identical
+reports. One streaming encoder, _encode, writes every JSON document, error
+documents included; the nmax histogram goes out in chunks straight from the
+BFS distance array, never as a list of p ints. --format text is rendered
+from the canonical JSON read back.
+Exit codes: 0 success, 1 domain or internal error (incl. out of memory),
+2 usage error (incl. an --output path that cannot be opened).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -53,7 +58,7 @@ from .expsums import (
 from .field import make_field
 from .growth import GrowthConfig, grow_until, n_bound, term_budget
 from .intmath import pow_floor
-from .represent import ReprProblem, build_layer_table, min_terms, n_max, scan
+from .represent import ReprProblem, build_layer_table, min_terms, scan
 from .sets import ResidueSet, require_dense
 
 _ORACLE_PRIME_LIMIT = 100
@@ -92,61 +97,71 @@ def int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+_CHUNK = 1 << 16  # array entries per C-encoder call
+_SCALARS = (str, int, float, type(None))  # bool is an int
+_PLAIN = frozenset({str, int, bool, type(None)})  # scalars written as they are
 
 
-def _json_safe(value):
+def _scalar(value):
     if isinstance(value, Fraction):
-        return _frac_str(value)
+        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float) and math.isnan(value):
         return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # e.g. a histogram: nothing to convert
-            return list(value)
-        return [_json_safe(v) for v in value]
     return value
 
 
-def _dump_json(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2), with each non-empty list of
-    plain ints encoded by the C encoder and spliced in. indent= selects the
-    pure-Python encoder, which takes about 0.5 s per 10**6 histogram entries."""
-    spliced: list[list[int]] = []
+def _flat(values):
+    """values as JSON scalars, or None when one of them is a container."""
+    if _PLAIN.issuperset(map(type, values)):
+        return values
+    values = [_scalar(v) for v in values]
+    return values if all(isinstance(v, _SCALARS) for v in values) else None
 
-    def stub(value):
-        if isinstance(value, dict):
-            return {k: stub(v) for k, v in value.items()}
-        if isinstance(value, list):
-            if value and set(map(type, value)) == {int}:
-                spliced.append(value)
-                return f"\0{len(spliced) - 1}"
-            return [stub(v) for v in value]
-        return value
 
-    marker = '"\\u0000'  # how the encoder writes the start of a stub
-    parts = json.dumps(stub(doc), sort_keys=True, indent=2).split(marker)
-    if len(parts) != len(spliced) + 1:  # some string of doc starts with NUL
-        return json.dumps(doc, sort_keys=True, indent=2)
-    out = [parts[0]]
-    for part in parts[1:]:
-        index, rest = part.split('"', 1)
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        pad = " " * (len(line) - len(line.lstrip(" ")))
-        items = json.dumps(spliced[int(index)], separators=(",\n  " + pad, ": "))
-        out.append(f"[\n  {pad}{items[1:-1]}\n{pad}]{rest}")
-    return "".join(out)
+def _encode(value, pad: str = ""):
+    """Yield the pieces of json.dumps(value, sort_keys=True, indent=2), with
+    Fractions written "num/den", NaN as null, and tuples and int arrays as lists.
+
+    Each container of scalars is one C-encoder call, with the indent written
+    into its item separator. An array (anything with .tolist()) is encoded in
+    chunks of _CHUNK entries, so no piece holds a whole histogram."""
+    value = _scalar(value)
+    if isinstance(value, _SCALARS):
+        yield json.dumps(value)
+        return
+    is_dict = isinstance(value, dict)
+    if not len(value):
+        yield "{}" if is_dict else "[]"
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    dumps = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+    yield ("{\n" if is_dict else "[\n") + inner
+    if isinstance(value, (dict, list, tuple)):
+        flat = _flat(list(value.values()) if is_dict else value)
+        if flat is not None:
+            yield dumps(dict(zip(value, flat)) if is_dict else flat)[1:-1]
+        else:
+            for i, key in enumerate(sorted(value) if is_dict else range(len(value))):
+                if i:
+                    yield sep
+                if is_dict:
+                    yield json.dumps(key) + ": "
+                yield from _encode(value[key], inner)
+    else:
+        for start in range(0, len(value), _CHUNK):
+            yield (sep if start else "") + dumps(value[start : start + _CHUNK].tolist())[1:-1]
+    yield "\n" + pad + ("}" if is_dict else "]")
 
 
 def _render_text(doc: dict) -> str:
+    """One "path: value" line per leaf of a document read back from its JSON."""
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:
         if isinstance(value, dict):
             for k in sorted(value):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
+                walk(f"{prefix}.{k}" if prefix else k, value[k])
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
@@ -157,30 +172,15 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(rows: list[dict], fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(["" if row.get(col) is None else row.get(col) for col in CSV_COLUMNS])
-    return buf.getvalue()
+    writer.writerows(["" if row.get(col) is None else row[col] for col in CSV_COLUMNS] for row in rows)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _document(config: dict, result, diagnostics: dict) -> dict:
-    return {
-        "version": __version__,
-        "config": _json_safe(config),
-        "result": _json_safe(result),
-        "diagnostics": _json_safe(diagnostics),
-    }
+def _emit(doc: dict, fh) -> None:
+    fh.writelines(_encode(doc))
+    fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +205,11 @@ def _cmd_represent(args) -> tuple[dict, dict]:
 
 def _cmd_nmax(args) -> tuple[dict, dict]:
     problem = ReprProblem(make_field(args.p), args.k, args.epsilon)
-    value, histogram = n_max(problem)
-    result = {"n_max": value, "histogram": histogram}
+    histogram = build_layer_table(problem).coverage  # write-locked int64, one entry per residue
+    result = {"n_max": int(histogram.max()), "histogram": histogram}
     diagnostics: dict = {"H": problem.height}
     if args.oracle:
-        oracle = exhaustive_depth_table(problem)
-        if oracle != histogram:
+        if exhaustive_depth_table(problem) != histogram.tolist():
             raise Error("oracle disagreement: per-residue term counts differ")
         diagnostics["oracle_agrees"] = True
     return result, diagnostics
@@ -457,16 +456,10 @@ _HANDLERS = {
 
 
 def _config_dict(args) -> dict:
-    skip = {"output", "format"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, tuple) and key == "primes":
-            value = f"{value[0]}..{value[1]}"
-        out[key] = value
-    out["format"] = args.format
-    return out
+    config = {key: value for key, value in vars(args).items() if key != "output"}
+    if args.command == "scan":
+        config["primes"] = "{}..{}".format(*args.primes)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -483,27 +476,31 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: --oracle refuses primes above {_ORACLE_PRIME_LIMIT}\n")
         return 2
 
-    config = _config_dict(args)
+    try:  # before any work, so an unwritable path is a usage error
+        output = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write --output: {exc}\n")
+        return 2
+    with output or contextlib.nullcontext(sys.stdout) as fh:
+        return _run(args, fh)
+
+
+def _run(args, fh) -> int:
+    doc = {"version": __version__, "config": _config_dict(args)}
     try:
         result, diagnostics = _HANDLERS[args.command](args)
     except (Error, ValueError, OverflowError, RuntimeError, MemoryError) as exc:
-        err_doc = {
-            "version": __version__,
-            "config": _json_safe(config),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(json.dumps(err_doc, sort_keys=True, indent=2) + "\n", args.output)
+        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        _emit(doc, fh)
         return 1
-
     if args.format == "csv":
-        text = _render_csv(result)
+        _write_csv(result, fh)
+        return 0
+    doc.update(result=result, diagnostics=diagnostics)
+    if args.format == "text":
+        fh.write(_render_text(json.loads("".join(_encode(doc)))))
     else:
-        doc = _document(config, result, diagnostics)
-        if args.format == "text":
-            text = _render_text(doc)
-        else:
-            text = _dump_json(doc) + "\n"
-    _emit(text, args.output)
+        _emit(doc, fh)
     return 0
 
 

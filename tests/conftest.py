@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,19 @@ def epsilon_for_height(p: int, h: int) -> Fraction:
         if h**den <= p**num < (h + 1) ** den and num <= den:
             return Fraction(num, den)
     raise AssertionError(f"no small rational exponent for p={p}, H={h}")
+
+
+def plain_json(value):
+    """value as the plain JSON values that cli._encode writes for it."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: plain_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_json(v) for v in value]
+    return value.tolist() if hasattr(value, "tolist") else value
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import plain_json
 from recipsums import cli
 from recipsums.cli import main
 from recipsums.sets import DENSE_P_MAX, require_dense
@@ -199,6 +202,21 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"]["n_max"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, where):
+    def fail(args):
+        raise AssertionError("the command ran before its output was opened")
+
+    monkeypatch.setitem(cli._HANDLERS, "represent", fail)
+    path = tmp_path / "no" / "x.json" if where == "missing" else tmp_path
+    code = main(["represent", "--p", "7", "--epsilon", "1/1", "--a", "3", "-o", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_text_format(capsys):
     code, out = run_cli(capsys, "nmax", "--p", "7", "--epsilon", "1/1", "--format", "text")
     assert code == 0
@@ -240,6 +258,16 @@ GOLDEN = {
         "6a65918752e103d5701e2dbcea276aa1ba906f1f68d5947378f527de27a4b817",
     "scan --primes 2..2000 --k 3 --epsilon 1/3 --format csv":
         "6aea38ae5857f01127969119deb8d1b15b18ad190b210c5c2fb6f334e85772a5",
+    # Pinned while the JSON encoder still spliced whole int lists; each
+    # histogram or member list spans more than one encoder chunk.
+    "nmax --p 200003 --k 1 --epsilon 1/2":
+        "7d07b1b3b1e8a6452d3e9b24cc3c7185340c2ae286ca6029210d08b15d0513d4",
+    "nmax --p 200003 --k 1 --epsilon 1/2 --format text":
+        "4dd18d143f2289892112f2e547d4c122674c96ba06af0b4c162a7919dce6c0ff",
+    "scan --primes 2..3000 --k 2 --epsilon 1/2":
+        "009b5542962f482afa5dedde19b426e48aac622add46e3307c013a84fb97e389",
+    "baseset --p 200003 --k 1 --beta 2/3 --u 2 --list-members":
+        "757fb0d1616b55429d5e2112e2831066305243fd3cbd1628f8c178c45edbd3dc",
 }
 
 
@@ -305,15 +333,28 @@ def test_internal_failure_exit_1(capsys, monkeypatch, exc):
     assert doc["config"]["command"] == "grow"
 
 
-def test_json_safe_lists():
+def encode(doc) -> str:
+    return "".join(cli._encode(doc))
+
+
+def test_encode_converts_fractions_nan_and_tuples():
     ints = list(range(1000))
-    assert cli._json_safe(ints) == ints
-    assert cli._json_safe((3, 4)) == [3, 4]
-    assert cli._json_safe([1, float("nan"), 2.5]) == [1, None, 2.5]
-    assert cli._json_safe([Fraction(1, 2), 7]) == ["1/2", 7]
-    kept = cli._json_safe([True, 0])
+    assert json.loads(encode(ints)) == ints
+    assert json.loads(encode((3, 4))) == [3, 4]
+    assert json.loads(encode([1, float("nan"), 2.5])) == [1, None, 2.5]
+    assert json.loads(encode([Fraction(1, 2), 7])) == ["1/2", 7]
+    kept = json.loads(encode([True, 0]))
     assert kept == [True, 0] and type(kept[0]) is bool
-    assert json.dumps(cli._json_safe({"h": [2, 1], "x": []})) == '{"h": [2, 1], "x": []}'
+    assert json.loads(encode({"h": [2, 1], "x": []})) == {"h": [2, 1], "x": []}
+    assert json.loads(encode({"e": Fraction(-3, 4), "t": (1, (float("nan"), Fraction(2)))})) == {
+        "e": "-3/4",
+        "t": [1, [None, "2/1"]],
+    }
+
+
+_LONG = np.arange(-(2 * cli._CHUNK) - 5, 2 * cli._CHUNK + 6, 3, dtype=np.int64)  # > 2 chunks
+_LOCKED = np.array([3, 1, 2], dtype=np.int64)
+_LOCKED.setflags(write=False)
 
 
 @pytest.mark.parametrize(
@@ -324,14 +365,22 @@ def test_json_safe_lists():
         {"flags": [True, False], "mixed": [1, True], "floats": [1.5, 2], "bigs": [10**30, -(10**30)]},
         [[1, 2], [3, [4, 5]], []],
         [7, 8],
-        {"nul": "\0" + "0", "ints": [5, 6]},  # a string that looks like a splice stub
+        {"nul": "\0" + "0", "ints": [5, 6]},  # a string that starts with NUL
         {"quote": 'a"\0', "ints": [1]},
         {},
         [],
+        np.zeros(0, dtype=np.int64),
+        _LONG,
+        {"result": {"histogram": _LONG, "n_max": 3}, "empty": np.zeros(0, dtype=np.int64)},
+        {"result": {"histogram": _LOCKED, "n_max": 3}},
+        {"z": 1, "a": "x", "n": None, "f": 1.5, "b": True, "q": Fraction(1, 3), "nan": float("nan"),
+         "inf": float("-inf"), "big": -(10**40), "u": "\u00e9\u20ac\0\""},
+        [{"p": 2, "n_max": None, "error": "x"}, {"p": 3, "n_max": 1, "error": None}, {}],
+        {"rows": [{"p": 5, "theta": float("nan")}, {"p": 7, "theta": 0.25}], "t": (Fraction(1, 2),)},
     ],
 )
 def test_dump_json_matches_indented_dumps(doc):
-    assert cli._dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert encode(doc) == json.dumps(plain_json(doc), sort_keys=True, indent=2)
 
 
 def test_dump_json_on_an_nmax_document(capsys):
@@ -368,3 +417,19 @@ def test_cli_sets_one_blas_thread_unless_told_otherwise():
     code = "import os, recipsums.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh_python(code) == "1"
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def _peak_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nmax_holds_no_list_of_the_histogram():
+    problem = ["--p", "1000003", "--k", "1", "--epsilon", "1/3", "-o", os.devnull]
+    represent = _peak_bytes(["represent", *problem, "--a", "12345"])
+    nmax = _peak_bytes(["nmax", *problem])
+    assert nmax - represent < 8 * 1000003  # less than one more length-p int64 array
