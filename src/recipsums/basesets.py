@@ -25,9 +25,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyBase, NonPositiveU
-from .field import PrimeField
+from .field import PrimeField, require_dense
 from .intmath import pow_floor
-from .sets import ResidueSet, require_dense
+from .sets import ResidueSet
 
 
 def compute_u(beta: Fraction, k: int) -> int:

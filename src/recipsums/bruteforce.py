@@ -15,14 +15,13 @@ from .errors import Unreachable
 from .represent import ReprProblem
 
 
-def exhaustive_depth_table(problem: ReprProblem, cap: int | None = None) -> list[int]:
+def exhaustive_depth_table(problem: ReprProblem) -> list[int]:
     """Minimal term count for every residue by brute-force enumeration."""
     p = problem.field.p
-    cap = p if cap is None else cap
     recip = {x: problem.field.recip_power(x, problem.k) for x in problem.admissible}
     best = [0] * p
     found = 0
-    for n in range(1, cap + 1):
+    for n in range(1, p + 1):
         for combo in combinations_with_replacement(problem.admissible, n):
             s = sum(recip[x] for x in combo) % p
             if best[s] == 0:
@@ -30,20 +29,17 @@ def exhaustive_depth_table(problem: ReprProblem, cap: int | None = None) -> list
                 found += 1
         if found == p:
             return best
-    raise Unreachable(f"{p - found} residues not reached within {cap} terms")
+    raise Unreachable(f"{p - found} residues not reached within {p} terms")
 
 
-def exhaustive_min_terms(
-    a: int, problem: ReprProblem, cap: int | None = None
-) -> tuple[int, tuple[int, ...]]:
+def exhaustive_min_terms(a: int, problem: ReprProblem) -> tuple[int, tuple[int, ...]]:
     """(N, witness) for one residue; the witness is the first tuple found,
     which enumeration order makes the lexicographically smallest one."""
     p = problem.field.p
-    cap = p if cap is None else cap
     target = a % p
     recip = {x: problem.field.recip_power(x, problem.k) for x in problem.admissible}
-    for n in range(1, cap + 1):
+    for n in range(1, p + 1):
         for combo in combinations_with_replacement(problem.admissible, n):
             if sum(recip[x] for x in combo) % p == target:
                 return n, combo
-    raise Unreachable(f"residue {target} not reached within {cap} terms")
+    raise Unreachable(f"residue {target} not reached within {p} terms")

@@ -14,8 +14,8 @@ floating-point forms are rejected. JSON output is canonical (sorted keys,
 indent 2); repeated runs with the same arguments produce byte-identical
 reports. One streaming encoder, _encode, writes every JSON document, error
 documents included; the nmax histogram goes out in chunks straight from the
-BFS distance array, never as a list of p ints. --format text is rendered
-from the canonical JSON read back.
+BFS distance array, never as a list of p ints. --format text walks the same
+document and prints each leaf as the canonical JSON would read back.
 Exit codes: 0 success, 1 domain or internal error (incl. out of memory),
 2 usage error (incl. an --output path that cannot be opened).
 """
@@ -55,11 +55,11 @@ from .expsums import (
     minimal_covering_J,
     verify_bilinear_bound,
 )
-from .field import make_field
+from .field import make_field, require_dense
 from .growth import GrowthConfig, grow_until, n_bound, term_budget
 from .intmath import pow_floor
 from .represent import ReprProblem, build_layer_table, min_terms, scan
-from .sets import ResidueSet, require_dense
+from .sets import ResidueSet
 
 _ORACLE_PRIME_LIMIT = 100
 
@@ -155,17 +155,22 @@ def _encode(value, pad: str = ""):
 
 
 def _render_text(doc: dict) -> str:
-    """One "path: value" line per leaf of a document read back from its JSON."""
+    """One "path: value" line per leaf, each value as its canonical JSON reads back."""
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:
+        value = _scalar(value)
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else k, value[k])
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
             for i, item in enumerate(value):
                 walk(f"{prefix}[{i}]", item)
         else:
+            if hasattr(value, "tolist"):
+                value = value.tolist()
+            elif isinstance(value, (list, tuple)):
+                value = [_scalar(v) for v in value]
             lines.append(f"{prefix}: {value}")
 
     walk("", doc)
@@ -498,7 +503,7 @@ def _run(args, fh) -> int:
         return 0
     doc.update(result=result, diagnostics=diagnostics)
     if args.format == "text":
-        fh.write(_render_text(json.loads("".join(_encode(doc)))))
+        fh.write(_render_text(doc))
     else:
         _emit(doc, fh)
     return 0

@@ -9,8 +9,8 @@ big-integer cyclic convolution. The covering minimum needs no full J-th
 power: a float Fourier ranking under a proven error bound names the few
 candidate residues, and each is counted exactly from the two half powers
 c_floor(J/2) and c_ceil(J/2). The full table stays available, and where
-its Fourier inversion provably rounds to the exact counts the two are
-compared entrywise.
+an error estimate says its Fourier inversion rounds to the exact counts,
+the two are compared entrywise as a cross-check.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ class CoveringTable:
 
 
 def _fourier_check_applicable(set_size: int, j: int, p: int) -> bool:
-    # f = conj(fft(w)) is one DFT of the exact integer vector w; after the
-    # J-th power and the inverse DFT each count is off by about
-    # J * log2(p) * |T|^(2J) * 2^-53, and four times that must stay below 1/8.
+    # An estimate, not a bound: after the J-th power and the inverse DFT of
+    # f = conj(fft(w)) a count is off by about J * log2(p) * |T|^(2J) * 2^-53,
+    # and 4x that must stay below 1/8. It gates a cross-check, never a count.
     return 4 * j * p.bit_length() * (set_size * set_size) ** j < 2**50
 
 
@@ -315,9 +315,9 @@ def _half_power_minimum(t: ResidueSet, j: int) -> tuple[int, int] | None:
 def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
     """Exact covering counts by J-fold cyclic self-convolution of w.
 
-    Where floating point provably cannot misround, the Fourier inversion
-    (1/p) * sum_a f(a)^J * e(-ar/p) is evaluated as well and must agree
-    entrywise after rounding.
+    Where an error estimate (not a proof) puts the rounding of the Fourier
+    inversion (1/p) * sum_a f(a)^J * e(-ar/p) below 1/8, that is evaluated too
+    as a cross-check, which must agree entrywise; it never decides a count.
     """
     if j < 1:
         raise ValueError("J must be >= 1")

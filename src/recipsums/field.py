@@ -1,9 +1,10 @@
 """Exact arithmetic in Z/pZ: inverses, powers, reciprocal k-th powers.
 
 All values are plain Python integers reduced to [0, p-1]; intermediate
-products never touch floating point. Inversion goes through extended
-Euclid; Fermat exponentiation is available as an independent cross-check.
-Whole arrays of reciprocal powers come from one int64 square-and-multiply.
+products never touch floating point. Inversion is Python's pow(a, -1, p);
+Fermat exponentiation is an independent cross-check. Whole arrays of
+reciprocal powers come from one int64 square-and-multiply, exact up to
+DENSE_P_MAX, the dense-modulus ceiling that this module owns.
 A field builds its discrete-log tables on first use and keeps them for as
 long as it lives: there is no table cache shared across fields.
 """
@@ -17,6 +18,16 @@ import numpy as np
 
 from .errors import NotInvertible, NotPrime, ZeroInverse
 from .intmath import inv_mod, is_prime
+
+# Residue products are taken in int64 (recip_powers, the dlog tables, the dense
+# kernels), exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
+DENSE_P_MAX = 3_037_000_500
+
+
+def require_dense(n: int) -> None:
+    """Refuse n > DENSE_P_MAX: after the primality verdict, before any length-n array."""
+    if n > DENSE_P_MAX:
+        raise ValueError(f"{n} exceeds the dense-modulus ceiling {DENSE_P_MAX}: (p - 1)**2 < 2**63")
 
 
 @dataclass(frozen=True)
@@ -52,14 +63,13 @@ class PrimeField:
         x^e with e = -k mod (p - 1), by square-and-multiply over the whole
         array in O(len(xs) log p) and with no length-p table. Exact in int64:
         every operand is reduced below p, so every product is at most
-        (p - 1)**2 < 2**63 for p <= sets.DENSE_P_MAX, the bound the discrete-log
+        (p - 1)**2 < 2**63 for p <= DENSE_P_MAX, the bound the discrete-log
         tables rely on too.
         """
         p = self.p
         if k < 1:
             raise ValueError("power k must be >= 1")
-        if (p - 1) ** 2 >= 1 << 63:
-            raise ValueError(f"{p} is too large for int64 products: (p - 1)**2 >= 2**63")
+        require_dense(p)
         base = np.remainder(xs, p, dtype=np.int64)
         if not base.all():
             raise NotInvertible(f"an entry is divisible by {p}")
@@ -82,7 +92,7 @@ class PrimeField:
 
         Blocked powers: g^(i+B) = g^B * g^i with the block B doubling each
         round, so O(log p) numpy passes; the int64 products are exact as
-        (p - 1)^2 < 2^63 for every p <= sets.DENSE_P_MAX.
+        (p - 1)^2 < 2^63 for every p <= DENSE_P_MAX.
         """
         p = self.p
         g = primitive_root(p)

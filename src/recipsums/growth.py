@@ -20,6 +20,7 @@ import numpy as np
 
 from .convolve import cyclic_convolve_exact
 from .errors import IterationCap, NonPositiveTheta, Stalled
+from .intmath import exceeds_power
 from .sets import ResidueSet, require_same_field
 
 # Direct enumeration of the |A|*|B| pairs costs about the same as one
@@ -125,7 +126,7 @@ class GrowthConfig:
     """Stopping rule for the growth iteration.
 
     threshold_exponent r means: stop once card > p**r, evaluated exactly
-    as card**denominator > p**numerator.
+    by intmath.exceeds_power as card**denominator > p**numerator.
     """
 
     threshold_exponent: Fraction = Fraction(2, 3)
@@ -212,13 +213,9 @@ def grow_until(
     """
     if s0.card == 0:
         raise ValueError("growth requires a nonempty seed set")
-    p = s0.field.p
-    num, den = cfg.threshold_exponent.numerator, cfg.threshold_exponent.denominator
-    target = p**num
-
     steps: list[GrowthStep] = []
     current = s0
-    while current.card**den <= target:
+    while not exceeds_power(current.card, s0.field.p, cfg.threshold_exponent):
         if len(steps) >= cfg.max_iters:
             raise IterationCap(
                 f"no set larger than p^{cfg.threshold_exponent} within {cfg.max_iters} steps"

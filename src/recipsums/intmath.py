@@ -1,8 +1,8 @@
 """Exact integer arithmetic helpers: primality, inverses, integer roots.
 
 Everything here is pure integer arithmetic; no result depends on floating
-point. Exponent comparisons with rational exponents are reduced to integer
-power comparisons.
+point. Inverses come from Python's own pow(a, -1, m). Exponent comparisons
+with rational exponents are reduced to integer power comparisons.
 """
 
 from __future__ import annotations
@@ -44,25 +44,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def inv_mod(a: int, m: int) -> int:
-    """Modular inverse by extended Euclid; raises ValueError if gcd != 1."""
-    g, s, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return s % m
+    """Modular inverse by Python's pow; raises ValueError if gcd(a, m) != 1."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
 def nth_root_floor(x: int, n: int) -> int:

@@ -35,9 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Error
-from .field import PrimeField, Residue, make_field
+from .field import PrimeField, Residue, make_field, require_dense
 from .intmath import pow_floor
-from .sets import ResidueSet, require_dense
+from .sets import ResidueSet
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,16 @@ class ReprProblem:
         return pow_floor(self.field.p, self.epsilon)
 
     @cached_property
-    def admissible(self) -> tuple[int, ...]:
+    def admissible(self) -> range:
         """Bases 1 <= x <= height with p not dividing x, ascending. As
-        height <= p, only x = p can be excluded, so admissible[i] = i + 1."""
-        return tuple(range(1, min(self.height, self.field.p - 1) + 1))
+        height <= p, only x = p can be excluded, so they form one range."""
+        return range(1, min(self.height, self.field.p - 1) + 1)
 
     @cached_property
     def reciprocals(self) -> np.ndarray:
         """1/x^k mod p for each admissible x, in the same order (write-locked int64)."""
-        xs = np.arange(1, min(self.height, self.field.p - 1) + 1, dtype=np.int64)
-        recips = self.field.recip_powers(xs, self.k)
+        bases = self.admissible
+        recips = self.field.recip_powers(np.arange(bases.start, bases.stop, dtype=np.int64), self.k)
         recips.setflags(write=False)
         return recips
 
@@ -100,10 +100,10 @@ class Witness:
 def check_representation(xs, target_value: int, problem: ReprProblem) -> bool:
     """Admissibility plus the congruence, recomputed from field arithmetic only."""
     p = problem.field.p
-    h = problem.height
+    bases = problem.admissible
     total = 0
     for x in xs:
-        if not (1 <= x <= h) or x % p == 0:
+        if x not in bases:
             return False
         total = (total + problem.field.recip_power(x, problem.k)) % p
     return total == target_value % p
@@ -325,20 +325,20 @@ def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
     p = problem.field.p
     target = int(a) % p
     coverage = build_layer_table(problem).coverage
-    recips = problem.reciprocals
+    bases, recips = problem.admissible, problem.reciprocals
     n = int(coverage[target])
     xs: list[int] = []
     t = target
-    # Bases ascend (admissible[i] = i + 1), so the first hit of each probe is
-    # the smallest x, which makes the witness the lexicographically smallest.
+    # Bases ascend, so the first hit of each probe is the smallest x, which
+    # makes the witness the lexicographically smallest.
     for j in range(n, 1, -1):
         hit = coverage[(t - recips) % p] == j - 1
         i = int(hit.argmax())
         if not hit[i]:  # pragma: no cover - table guarantees a predecessor
             raise RuntimeError("backtracking found no predecessor; table corrupt")
-        xs.append(i + 1)
+        xs.append(bases[i])
         t = (t - int(recips[i])) % p
-    xs.append(int((recips == t).argmax()) + 1)
+    xs.append(bases[int((recips == t).argmax())])
     return Witness(problem=problem, target=problem.field.residue(target), xs=tuple(xs))
 
 

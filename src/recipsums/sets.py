@@ -7,18 +7,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import FieldMismatch
-from .field import PrimeField
-
-
-# Dense kernels multiply two residues in int64 (growth.productset_naive),
-# which is exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
-DENSE_P_MAX = 3_037_000_500
-
-
-def require_dense(n: int) -> None:
-    """Refuse n > DENSE_P_MAX: after the primality verdict, before any length-n array."""
-    if n > DENSE_P_MAX:
-        raise ValueError(f"{n} exceeds the dense-modulus ceiling {DENSE_P_MAX}: (p - 1)**2 < 2**63")
+from .field import DENSE_P_MAX, PrimeField, require_dense  # noqa: F401 - sets.DENSE_P_MAX stays importable
 
 
 class ResidueSet:

@@ -223,6 +223,21 @@ def test_text_format(capsys):
     assert "result.n_max: 2" in out
 
 
+def readme_examples():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        return [line.split()[1:] for line in fh if line.startswith("recipsums ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_text_format_is_the_json_read_back(capsys, argv):
+    # _render_text walks the document itself; it must print what the JSON holds.
+    argv = [arg for arg in argv if arg not in ("--format", "csv")]
+    code, text = run_cli(capsys, *argv, "--format", "text")
+    doc = run_json(capsys, *argv)
+    doc["config"]["format"] = "text"
+    assert code == 0 and text == cli._render_text(doc)
+
+
 def test_json_byte_determinism(capsys):
     args = ["grow", "--p", "499", "--k", "1", "--beta", "1/4"]
     code1, out1 = run_cli(capsys, *args)

@@ -11,7 +11,8 @@ from recipsums import (
     mod_inv,
     recip_power,
 )
-from recipsums.field import recip_power_fermat
+from recipsums import field as field_module, sets
+from recipsums.field import PrimeField, recip_power_fermat
 
 
 def brute_inverse(y: int, p: int) -> int:
@@ -114,3 +115,12 @@ def test_recip_powers_refuses_multiples_of_p_and_bad_k():
         field.recip_powers(np.array([1, 14]), 1)
     with pytest.raises(ValueError):
         field.recip_powers(np.array([1, 2]), 0)
+
+
+def test_recip_powers_refuses_p_above_the_dense_ceiling():
+    # field owns the ceiling; sets only re-exports it.
+    assert sets.DENSE_P_MAX is field_module.DENSE_P_MAX == 3_037_000_500
+    assert sets.require_dense is field_module.require_dense
+    # 3037000507 is the first prime above the ceiling.
+    with pytest.raises(ValueError, match="^3037000507 exceeds the dense-modulus ceiling 3037000500: "):
+        PrimeField(3_037_000_507).recip_powers(np.array([2]), 1)

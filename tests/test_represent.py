@@ -61,9 +61,22 @@ def minimal_layer_counts(pr):
 def test_height_and_admissible():
     pr = problem(7, 1, Fraction(1, 1))
     assert pr.height == 7
-    assert pr.admissible == (1, 2, 3, 4, 5, 6)  # 7 is excluded
+    assert tuple(pr.admissible) == (1, 2, 3, 4, 5, 6)  # 7 is excluded
     assert problem(2, 1, Fraction(1, 3)).height == 1
     assert problem(499, 3, Fraction(1, 3)).height == 7
+
+
+def test_admissible_is_one_range():
+    pr = problem(1_000_003, 1, Fraction(1, 1))
+    assert pr.height == 1_000_003
+    tracemalloc.start()
+    bases = pr.admissible
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert bases == range(1, 1_000_003) and peak < 1024  # a tuple of the bases is 38 MiB
+    # Witnesses hold Python ints, so that "x in bases" stays O(1).
+    w = min_terms(777, problem(1009, 2, Fraction(1, 2)))
+    assert w.xs and all(type(x) is int for x in w.xs)
 
 
 def test_base_reciprocals_examples():
@@ -148,7 +161,7 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
         for k in sorted({1, 2, 3, p - 1, p, 2 * (p - 1)}):
             for eps in [Fraction(1, 3), Fraction(1, 2), Fraction(1, 1)]:
                 pr = problem(p, k, eps)
-                assert pr.admissible == tuple(x for x in range(1, pr.height + 1) if x % p)
+                assert tuple(pr.admissible) == tuple(x for x in range(1, pr.height + 1) if x % p)
                 assert pr.reciprocals.dtype == np.int64
                 assert not pr.reciprocals.flags.writeable
                 assert pr.reciprocals.tolist() == [pr.field.recip_power(x, k) for x in pr.admissible]
