@@ -46,6 +46,7 @@ _EXPORTS = {
         "covering_counts",
         "covering_counts_fourier",
         "exp_sum_profile",
+        "exponent_excess",
         "f_profile",
         "h_profile",
         "minimal_covering_J",
@@ -68,7 +69,6 @@ _EXPORTS = {
         "LayerTable",
         "ReprProblem",
         "Witness",
-        "base_reciprocals",
         "build_layer_table",
         "min_terms",
         "n_max",

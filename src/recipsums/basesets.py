@@ -37,7 +37,7 @@ def compute_u(beta: Fraction, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     limit = 1 / (Fraction(beta) * 2 * k)
-    u = int(limit) - 1 if limit.denominator == 1 else math.floor(limit)
+    u = math.ceil(limit) - 1
     if u < 1:
         raise NonPositiveU(f"no positive tuple length below {limit} (beta={beta}, k={k})")
     return u
@@ -145,19 +145,11 @@ def build_prime_reciprocal_set(spec: BaseSetSpec) -> tuple[ResidueSet, Distinctn
 
 @dataclass(frozen=True)
 class SmoothSet:
-    """Integers in [1, p-1] whose prime factors all lie below a bound.
-
-    Carries both the integer labels and their residue image (which is the
-    identity embedding, since every label is already below p).
-    """
+    """Integers in [1, p-1] whose prime factors all lie below a bound."""
 
     field: PrimeField
     bound: int
     integers: tuple[int, ...]
-
-    @property
-    def residues(self) -> ResidueSet:
-        return ResidueSet.from_members(self.field, self.integers)
 
     def __len__(self) -> int:
         return len(self.integers)
@@ -216,8 +208,6 @@ def check_multiplicative_conditions(
     member = set(values)
     counterexample = None
     for i, s in enumerate(values):
-        if s > limit:
-            break
         hi = bisect_right(values, limit // s)
         for t in values[i:hi]:
             if s * t not in member:
@@ -232,7 +222,7 @@ def check_multiplicative_conditions(
     count = bisect_right(values, height)
     # count >= p^(epsilon*theta)  <=>  count^den >= p^num
     target = Fraction(epsilon) * Fraction(theta)
-    density = count > 0 and count**target.denominator >= field.p**target.numerator
+    density = count**target.denominator >= field.p**target.numerator
 
     return MultiplicativityReport(
         contains_one=contains_one,

@@ -52,6 +52,7 @@ from .expsums import (
     check_covering_positivity,
     compute_J,
     exp_sum_profile,
+    exponent_excess,
     minimal_covering_J,
     verify_bilinear_bound,
 )
@@ -196,7 +197,7 @@ def _cmd_represent(args) -> tuple[dict, dict]:
     problem = ReprProblem(make_field(args.p), args.k, args.epsilon)
     witness = min_terms(args.a, problem)
     result = {"target": witness.target.value, "N": witness.n, "witness": list(witness.xs)}
-    diagnostics: dict = {"H": problem.height, "base_size": build_layer_table(problem).base.card}
+    diagnostics: dict = {"H": problem.height, "base_size": build_layer_table(problem).generators.size}
     if args.oracle:
         oracle_n, oracle_witness = exhaustive_min_terms(args.a, problem)
         if oracle_n != witness.n:
@@ -237,15 +238,7 @@ def _cmd_grow(args) -> tuple[dict, dict]:
     final, trace = grow_until(base, cfg, spec.tuple_length, args.beta)
     result = {
         "base": {"u": spec.tuple_length, **dataclasses.asdict(report)},
-        "steps": [
-            {
-                "op": s.op_chosen,
-                "size_before": s.size_before,
-                "size_after": s.size_after,
-                "theta_hat": s.theta_hat,
-            }
-            for s in trace.steps
-        ],
+        "steps": [dataclasses.asdict(s) for s in trace.steps],
         "n": trace.n,
         "final_size": final.card,
         "threshold_exponent": cfg.threshold_exponent,
@@ -301,29 +294,18 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
         "h0": float(profile.h_abs[0]),
         "f0": profile.f0,
         "parseval_relative_error": profile.parseval_relative_error,
-        "bilinear": {
-            "max_ratio": bilinear.max_ratio,
-            "worst_a": bilinear.worst_a,
-            "holds": bilinear.holds,
-        },
+        "bilinear": dataclasses.asdict(bilinear),
     }
     j = args.J
     if args.auto_J:
-        if t.card * t.card <= t.field.p:
+        excess = exponent_excess(t)
+        if excess is None:
             raise Error(f"--auto-J needs |T| > sqrt(p); |T| = {t.card}, p = {t.field.p}")
-        j = compute_J(math.log(t.card) / math.log(t.field.p) - 0.5)
-        diagnostics["auto_J"] = j
+        j = diagnostics["auto_J"] = compute_J(excess)
     if j is not None:
-        positivity = check_covering_positivity(t, j)
-        result["covering"] = {
-            "J": positivity.j,
-            "min_count": positivity.min_count,
-            "min_residue": positivity.min_residue,
-            "all_covered": positivity.all_covered,
-            "beta_excess": positivity.beta_excess,
-            "j_required": positivity.j_required,
-            "j_sufficient": positivity.j_sufficient,
-        }
+        covering = dataclasses.asdict(check_covering_positivity(t, j))
+        covering["J"] = covering.pop("j")
+        result["covering"] = covering
     if args.min_J:
         result["minimal_J"] = minimal_covering_J(t, j_cap=args.min_J_cap)
     return result, diagnostics
@@ -345,14 +327,8 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
     result: dict = {"bound": args.bound, "size": len(smooth)}
     if args.epsilon is not None and args.theta is not None:
         report = check_multiplicative_conditions(smooth, field, args.epsilon, args.theta)
-        result["conditions"] = {
-            "contains_one": report.contains_one,
-            "closed_under_product": report.closed_under_product,
-            "closure_holds": report.closure_holds,
-            "count_up_to_height": report.count_up_to_height,
-            "density_holds": report.density_holds,
-            "height": report.height,
-        }
+        conditions = result["conditions"] = dataclasses.asdict(report)
+        del conditions["closure_counterexample"]
     if args.list_members:
         result["members"] = list(smooth.integers)
     return result, {}

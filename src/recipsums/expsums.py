@@ -135,6 +135,14 @@ def compute_J(beta: Fraction | float) -> int:
     return math.floor(2 * (1 + 2 * b) / b) + 1
 
 
+def exponent_excess(t: ResidueSet) -> float | None:
+    """The exponent excess log_p|T| - 1/2 once |T| > sqrt(p), which is tested
+    exactly as |T|^2 > p; None for smaller T."""
+    if t.card * t.card <= t.field.p:
+        return None
+    return math.log(t.card) / math.log(t.field.p) - 0.5
+
+
 def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
     """w[m] = number of ordered pairs (t1, t2) in T x T with t1*t2 = m mod p.
 
@@ -346,8 +354,8 @@ class CoveringPositivity:
     min_count: int
     min_residue: int
     all_covered: bool
-    # Set when |T| > sqrt(p): the exponent excess log_p|T| - 1/2 and
-    # whether J meets the sufficient value computed from it.
+    # Set when |T| > sqrt(p): exponent_excess(T) and whether J meets the
+    # sufficient value computed from it.
     beta_excess: float | None
     j_required: int | None
     j_sufficient: bool | None
@@ -367,11 +375,9 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
         table = covering_counts(t, j)
         minimum = table.min_count, table.min_residue
     min_count, min_residue = minimum
-    beta_excess = None
-    j_required = None
-    j_sufficient = None
-    if t.card * t.card > t.field.p:
-        beta_excess = math.log(t.card) / math.log(t.field.p) - 0.5
+    beta_excess = exponent_excess(t)
+    j_required = j_sufficient = None
+    if beta_excess is not None:
         j_required = compute_J(beta_excess)
         j_sufficient = j >= j_required
     return CoveringPositivity(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,7 @@ class GrowthConfig:
 
 @dataclass(frozen=True)
 class GrowthStep:
-    op_chosen: str  # SUM or PRODUCT
+    op: str  # SUM or PRODUCT
     size_before: int
     size_after: int
     theta_hat: float  # log(size_after)/log(size_before) - 1
@@ -150,6 +151,16 @@ class GrowthStep:
 # Refuse to materialize term bounds beyond this many bits; the trace
 # carries an explicit capped flag instead of an astronomically large int.
 _TERM_BOUND_BIT_CAP = 1 << 22
+
+
+def _tower(u: int, d: int) -> int | None:
+    """u**(2**d) exactly, or None when d > 60 or it would have more than
+    _TERM_BOUND_BIT_CAP bits. u <= 1 is its own tower."""
+    if u <= 1:
+        return u
+    if d > 60 or (2**d) * u.bit_length() > _TERM_BOUND_BIT_CAP:
+        return None
+    return u ** (2**d)
 
 
 @dataclass(frozen=True)
@@ -173,20 +184,14 @@ class GrowthTrace:
     def height_exponent(self) -> Fraction:
         return (2**self.n) * self.beta
 
-    @property
-    def term_bound_capped(self) -> bool:
-        if self.u <= 1:
-            return False
-        return (2**self.n) * (self.u.bit_length()) > _TERM_BOUND_BIT_CAP
-
-    @property
+    @cached_property
     def term_bound(self) -> int | None:
         """u**(2**n) exactly, or None when flagged as capped."""
-        if self.u <= 1:
-            return self.u
-        if self.term_bound_capped:
-            return None
-        return self.u ** (2**self.n)
+        return _tower(self.u, self.n)
+
+    @property
+    def term_bound_capped(self) -> bool:
+        return self.term_bound is None
 
 
 def grow_step(s: ResidueSet) -> tuple[ResidueSet, str]:
@@ -256,9 +261,10 @@ def term_budget(u: int, k: int, theta: float) -> int:
     if u == 1:
         return 1
     doublings = math.ceil(math.log(3 * k) / math.log(1 + theta))
-    if doublings > 60 or (2**doublings) * u.bit_length() > _TERM_BOUND_BIT_CAP:
+    budget = _tower(u, doublings)
+    if budget is None:
         raise OverflowError(
             f"term budget u^(2^{doublings}) exceeds {_TERM_BOUND_BIT_CAP} bits; "
             "theta is too small for an explicit value"
         )
-    return u ** (2**doublings)
+    return budget

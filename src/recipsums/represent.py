@@ -37,7 +37,6 @@ import numpy as np
 from .errors import Error
 from .field import PrimeField, Residue, make_field, require_dense
 from .intmath import pow_floor
-from .sets import ResidueSet
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,11 @@ def verify_witness(w: Witness, problem: ReprProblem) -> bool:
     return check_representation(w.xs, w.target.value, problem)
 
 
-def base_reciprocals(problem: ReprProblem) -> ResidueSet:
-    """The one-term set G = {1/x^k mod p : x admissible}."""
-    return ResidueSet.from_members(problem.field, problem.reciprocals)
-
-
 @dataclass(frozen=True)
 class LayerTable:
     """Minimal term count of every residue, as BFS distances from 0."""
 
-    base: ResidueSet
+    generators: np.ndarray  # G = {1/x^k mod p : x admissible}, ascending (write-locked int64)
     coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
 
 
@@ -136,6 +130,9 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
     """BFS from 0 over the generators G: level j+1 is (level j + G) minus
     the residues already reached. Residue 0 starts unreached, so it gets
     its minimal positive count; level 1 is G itself, as 0 is not in G.
+    coverage is the only length-p array the table keeps, and it is allocated
+    first, so a p too large for memory fails before any other is built; G is
+    read off its level 1, ascending and without repeats.
     Each later level runs the kernel that _kernel_chooser expects to be
     cheapest. The push and the pull hold the frontier as an index array and
     write each level into coverage at once. The shift holds the frontier
@@ -143,11 +140,11 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
     levels reach coverage as bit planes, once, when the BFS leaves bit form.
     The planes are about log2(depth) ints of p bits, so memory stays O(p)."""
     p = problem.field.p
-    base = base_reciprocals(problem)
-    gens = base.members()
-    gen_list: list[int] = []  # gens as Python ints, made for the first shift level
     coverage = np.zeros(p, dtype=np.int64)
-    coverage[gens] = 1
+    coverage[problem.reciprocals] = 1
+    gens = np.flatnonzero(coverage == 1)
+    gens.setflags(write=False)
+    gen_list: list[int] = []  # gens as Python ints, made for the first shift level
     frontier = gens  # None while the BFS is in bit form
     front = unreached = 0  # bit form: bit r stands for residue r
     planes: list[int] = []  # planes[b]: residues of bit-form levels with bit b of the level set
@@ -179,7 +176,7 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
         remaining -= size
     _write_planes(coverage, planes)
     coverage.setflags(write=False)
-    return LayerTable(base=base, coverage=coverage)
+    return LayerTable(generators=gens, coverage=coverage)
 
 
 # Cost model of one BFS level, in nanoseconds, fitted to per-level timings of
@@ -364,7 +361,7 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
         problem = ReprProblem(make_field(p), k, epsilon)
         table = build_layer_table(problem)
         row["H"] = problem.height
-        row["base_size"] = table.base.card
+        row["base_size"] = table.generators.size
         # max_layer is kept for CSV format stability: the deepest BFS level is n_max.
         row["n_max"] = row["max_layer"] = int(table.coverage.max())
     except Error as exc:

@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -326,6 +329,53 @@ def test_dense_ceiling_exit_1(capsys, command):
     assert error["type"] == "ValueError"
     assert f"dense-modulus ceiling {DENSE_P_MAX}" in error["message"]
     assert peak < 1 << 24
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS and ru_maxrss in kB")
+@pytest.mark.parametrize(
+    "command",
+    ["represent --p 3037000493 --k 1 --epsilon 1/3 --a 5", "nmax --p 3037000493 --k 2 --epsilon 1/4"],
+)
+def test_largest_dense_prime_fails_before_touching_memory(command, tmp_path):
+    """The BFS distance array of the largest prime under the ceiling needs
+    22.6 GiB, which an 8 GiB address space refuses. It is the first length-p
+    array a command builds, so the MemoryError comes before any memory is used."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))  # the wait below has no timeout of its own
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
+    with open(tmp_path / "stderr", "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "recipsums", *command.split()],
+            env=env, stdout=subprocess.PIPE, stderr=err, preexec_fn=limit,
+        )
+        out = child.stdout.read()
+        child.stdout.close()
+        # The child's own peak; RUSAGE_CHILDREN would also count earlier children.
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 1, (tmp_path / "stderr").read_text()
+    assert json.loads(out)["error"]["type"] == "MemoryError"
+    assert usage.ru_maxrss < 200 * 1024
+
+
+def test_reports_are_printed_as_their_dataclasses(capsys):
+    from recipsums import BilinearReport, CoveringPositivity, GrowthStep, MultiplicativityReport
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    result = run_json(capsys, "expsum", "--p", "101", "--grow", "--k", "1", "--beta", "1/4", "--auto-J")["result"]
+    assert set(result["bilinear"]) == names(BilinearReport)
+    assert set(result["covering"]) == names(CoveringPositivity) - {"j"} | {"J"}
+    steps = run_json(capsys, "grow", "--p", "1009", "--k", "1", "--beta", "1/4")["result"]["steps"]
+    assert steps and all(set(step) == names(GrowthStep) for step in steps)
+    argv = ["smoothset", "--p", "1009", "--bound", "7", "--epsilon", "1/2", "--theta", "1/3"]
+    conditions = run_json(capsys, *argv)["result"]["conditions"]
+    assert set(conditions) == names(MultiplicativityReport) - {"closure_counterexample"}
 
 
 def test_dense_ceiling_value():

@@ -18,6 +18,7 @@ from recipsums import (
     covering_counts,
     covering_counts_fourier,
     exp_sum_profile,
+    exponent_excess,
     f_profile,
     h_profile,
     make_field,
@@ -226,6 +227,15 @@ def test_covering_positivity_zero_set():
     report = check_covering_positivity(rset(7, [0]), 3)
     assert not report.all_covered
     assert report.min_count == 0
+
+
+def test_exponent_excess_owns_the_J_rule():
+    small = rset(101, range(1, 11))  # 10^2 <= 101
+    assert exponent_excess(small) is None
+    assert check_covering_positivity(small, 2).beta_excess is None
+    t = rset(101, range(1, 12))  # 11^2 > 101
+    assert exponent_excess(t) == check_covering_positivity(t, 2).beta_excess
+    assert exponent_excess(t) == pytest.approx(math.log(11) / math.log(101) - 0.5)
 
 
 def test_minimal_covering_J():

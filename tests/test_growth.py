@@ -232,6 +232,32 @@ def test_term_bound_cap_flag():
     assert trace.height_exponent == Fraction(2**30, 8)
 
 
+# 2^10 * bit_length(u) at the bit cap 2^22, and one bit over it
+@pytest.mark.parametrize("bits,capped", [(4096, False), (4097, True)])
+def test_term_budget_is_the_trace_term_bound(bits, capped):
+    from recipsums.growth import GrowthStep, GrowthTrace
+
+    k, d, u = 1, 10, (1 << (bits - 1)) + 1
+    theta = 3 ** (1 / (d - 0.5)) - 1
+    assert math.ceil(math.log(3 * k) / math.log(1 + theta)) == d
+    trace = GrowthTrace(tuple(GrowthStep(SUM, 2, 2, 0.0) for _ in range(d)), u=u, beta=Fraction(1, 8))
+    if capped:
+        with pytest.raises(OverflowError):
+            term_budget(u, k, theta)
+        assert trace.term_bound_capped and trace.term_bound is None
+    else:
+        assert term_budget(u, k, theta) == trace.term_bound == u ** (2**d)
+        assert not trace.term_bound_capped
+
+
+def test_term_budget_of_one_term():
+    from recipsums.growth import GrowthStep, GrowthTrace
+
+    assert term_budget(1, 3, 1e-300) == 1  # returns before log(1 + theta) = 0 divides
+    trace = GrowthTrace(tuple(GrowthStep(SUM, 2, 2, 0.0) for _ in range(64)), u=1, beta=Fraction(1, 8))
+    assert trace.term_bound == 1 and not trace.term_bound_capped
+
+
 def test_n_bound():
     assert n_bound(1, 1.0) == pytest.approx(math.log(3) / math.log(2) + 1)
     assert n_bound(2, 1.0) == pytest.approx(math.log(6) / math.log(2) + 1)

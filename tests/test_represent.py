@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from recipsums import (
     ReprProblem,
     ResidueSet,
-    base_reciprocals,
     build_layer_table,
     make_field,
     min_terms,
@@ -35,6 +34,11 @@ from conftest import epsilon_for_height
 
 def problem(p, k, epsilon):
     return ReprProblem(make_field(p), k, epsilon)
+
+
+def base_reciprocals(pr):
+    """The one-term set G as a ResidueSet, for the sumset oracles."""
+    return ResidueSet.from_members(pr.field, pr.reciprocals)
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +91,19 @@ def test_base_reciprocals_examples():
     assert sorted(base_reciprocals(problem(2, 1, Fraction(1, 1)))) == [1]
 
 
+@pytest.mark.parametrize(
+    "p,k,epsilon",
+    [(1009, 1, Fraction(1, 2)), (1009, 2, Fraction(1, 1)), (1009, 3, Fraction(1, 1)), (499, 3, Fraction(1, 3))],
+)
+def test_generators_are_level_one_of_the_distance_array(p, k, epsilon):
+    pr = problem(p, k, epsilon)
+    gens = build_layer_table(pr).generators
+    assert gens.tolist() == sorted(set(pr.reciprocals.tolist()))
+    assert gens.dtype == np.int64 and not gens.flags.writeable
+    if k == 2 and epsilon == 1:  # x and p - x share 1/x^2, so G has half as many residues
+        assert 2 * gens.size == pr.reciprocals.size
+
+
 def test_min_terms_single_term():
     for p, k in [(7, 1), (11, 2), (101, 3)]:
         pr = problem(p, k, Fraction(1, 1))
@@ -130,7 +147,7 @@ def test_n_max_examples():
 def test_layer_table_structure():
     pr = problem(7, 1, epsilon_for_height(7, 2))
     table = build_layer_table(pr)
-    assert sorted(int(i) for i in table.base.members()) == [1, 4]
+    assert table.generators.tolist() == [1, 4]
     # exactly-j-term layers, computed by hand
     assert exact_layer(pr, 2).to_list() == [1, 2, 5]
     assert exact_layer(pr, 3).to_list() == [2, 3, 5, 6]
@@ -187,7 +204,7 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
     monkeypatch.setattr(PrimeField, "recip_power", counted)
     pr = problem(1009, 1, Fraction(1, 1))
     table = build_layer_table(pr)
-    assert table.base == base_reciprocals(pr)
+    assert table.generators.tolist() == base_reciprocals(pr).to_list()
     assert calls == []
 
 
