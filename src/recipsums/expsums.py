@@ -24,7 +24,7 @@ import numpy as np
 
 from .convolve import cyclic_convolve_exact, cyclic_power_exact
 from .errors import BoundViolated, NonPositiveBeta
-from .growth import product_counts
+from .growth import product_counts, sumset
 from .sets import ResidueSet
 
 
@@ -394,11 +394,11 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
 def minimal_covering_J(t: ResidueSet, j_cap: int = 64) -> int | None:
     """Smallest J whose covering counts are all positive, or None below j_cap."""
     # Counts are nonnegative, so the support of c * w is supp(c) + supp(w):
-    # iterating on 0/1 supports finds the same J with bucket bound <= p.
-    p = t.field.p
-    covered = support = pair_product_multiplicity(t) > 0
+    # iterating sumsets of the supports finds the same J, and growth.sumset
+    # enumerates pairs or convolves, whichever its size rule says pays.
+    covered = support = ResidueSet(t.field, pair_product_multiplicity(t) > 0)
     for j in range(1, j_cap + 1):
-        if covered.all():
+        if covered.card == t.field.p:
             return j
-        covered = cyclic_convolve_exact(covered, support, p) > 0
+        covered = sumset(covered, support)
     return None

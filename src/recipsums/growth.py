@@ -53,7 +53,7 @@ def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: np.ufunc) -> ResidueSet:
         block = op(am[start : start + rows, None], bm[None, :])
         block %= p
         bits[block.ravel()] = True
-    return ResidueSet._adopt(a.field, bits)
+    return ResidueSet(a.field, bits)
 
 
 def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
@@ -64,7 +64,7 @@ def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 def sumset_conv(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod p} via exact cyclic convolution of characteristic vectors."""
     p = require_same_field(a, b).p
-    return ResidueSet._adopt(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
+    return ResidueSet(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
@@ -108,7 +108,7 @@ def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
 
 def productset_dlog(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p} from the discrete-log product counts."""
-    return ResidueSet._adopt(a.field, product_counts(a, b) > 0)
+    return ResidueSet(a.field, product_counts(a, b) > 0)
 
 
 def productset(a: ResidueSet, b: ResidueSet) -> ResidueSet:

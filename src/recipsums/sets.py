@@ -1,7 +1,10 @@
-"""Dense subsets of Z/pZ backed by a boolean characteristic vector."""
+"""Dense subsets of Z/pZ backed by a boolean characteristic vector, which
+the one constructor copies and write-locks, so no caller can change a set."""
 
 from __future__ import annotations
 
+import dataclasses
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -10,6 +13,7 @@ from .errors import FieldMismatch
 from .field import DENSE_P_MAX, PrimeField, require_dense  # noqa: F401 - sets.DENSE_P_MAX stays importable
 
 
+@dataclasses.dataclass(frozen=True)
 class ResidueSet:
     """An immutable subset of Z/pZ with cached cardinality.
 
@@ -17,31 +21,22 @@ class ResidueSet:
     after construction; all set operations allocate fresh results.
     """
 
-    # _pair_products holds expsums.pair_product_multiplicity of the set once computed.
-    __slots__ = ("field", "bits", "card", "_pair_products")
+    field: PrimeField
+    bits: np.ndarray
+    # expsums.pair_product_multiplicity of the set, once computed.
+    _pair_products: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
 
-    def __init__(self, field: PrimeField, bits: np.ndarray):
+    def __post_init__(self) -> None:
         # np.array always copies, so the caller keeps no handle on the bitmap.
-        self._lock(field, np.array(bits, dtype=bool))
-
-    @classmethod
-    def _adopt(cls, field: PrimeField, bits: np.ndarray) -> "ResidueSet":
-        """Wrap a fresh bool bitmap that no one else holds, without a copy."""
-        self = cls.__new__(cls)
-        self._lock(field, bits)
-        return self
-
-    def _lock(self, field: PrimeField, bits: np.ndarray) -> None:
-        if bits.dtype != bool or bits.shape != (field.p,):
-            raise ValueError(f"characteristic vector must be bool of length {field.p}")
+        bits = np.array(self.bits, dtype=bool)
+        if bits.shape != (self.field.p,):
+            raise ValueError(f"characteristic vector must be bool of length {self.field.p}")
         bits.setflags(write=False)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "card", int(bits.sum()))
-        object.__setattr__(self, "_pair_products", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueSet is immutable")
+    @cached_property
+    def card(self) -> int:
+        return int(self.bits.sum())
 
     @classmethod
     def from_members(cls, field: PrimeField, members: Iterable[int]) -> "ResidueSet":
@@ -53,15 +48,15 @@ class ResidueSet:
             idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
         if idx.size:
             bits[idx] = True
-        return cls._adopt(field, bits)
+        return cls(field, bits)
 
     @classmethod
     def empty(cls, field: PrimeField) -> "ResidueSet":
-        return cls._adopt(field, np.zeros(field.p, dtype=bool))
+        return cls(field, np.zeros(field.p, dtype=bool))
 
     @classmethod
     def full(cls, field: PrimeField) -> "ResidueSet":
-        return cls._adopt(field, np.ones(field.p, dtype=bool))
+        return cls(field, np.ones(field.p, dtype=bool))
 
     def members(self) -> np.ndarray:
         """Member residues in ascending order, as an int64 array."""

@@ -26,6 +26,7 @@ from recipsums import (
     pair_product_multiplicity,
     verify_bilinear_bound,
 )
+from recipsums import expsums, growth
 from recipsums.basesets import primes_up_to
 from recipsums.convolve import cyclic_convolve_exact
 from recipsums.expsums import f_profile_direct, h_profile_direct
@@ -270,6 +271,19 @@ def test_minimal_covering_J_matches_counts():
     # products of the quadratic residues mod 7 stay in {1, 2, 4}: J = 3 is needed
     assert minimal_covering_J(rset(7, [1, 2, 4]), j_cap=2) is None
     assert minimal_covering_J_counts(rset(7, [1, 2, 4]), 2) is None
+
+
+def test_sparse_support_never_convolves(monkeypatch):
+    t = rset(101, [1, 2, 3])
+    expected = minimal_covering_J_counts(t, 64)
+    assert expected == 14
+
+    def refuse(*args):
+        raise AssertionError("a sparse support was convolved")
+
+    monkeypatch.setattr(expsums, "cyclic_convolve_exact", refuse)
+    monkeypatch.setattr(growth, "sumset_conv", refuse)
+    assert minimal_covering_J(t) == expected
 
 
 def test_pair_product_multiplicity_is_shared_and_locked():

@@ -21,7 +21,7 @@ from recipsums import (
     sumset,
     term_budget,
 )
-from recipsums import growth
+from recipsums import BaseSetSpec, build_prime_reciprocal_set, growth
 from recipsums.field import primitive_root
 from recipsums.growth import (
     PRODUCT,
@@ -368,3 +368,33 @@ def test_kernel_results_are_locked_and_callers_arrays_copied():
         assert not t.bits.flags.writeable
         with pytest.raises(ValueError):
             t.bits[0] = True
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_every_set_is_built_by_the_copying_constructor(monkeypatch, dense):
+    built = []
+    init = ResidueSet.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ResidueSet, "__init__", counted)
+    if dense:
+        monkeypatch.setattr(growth, "_NAIVE_PAIRS_PER_RESIDUE", 0)
+    field = make_field(101)
+    a = rset(101, [1, 2, 3, 5, 8])
+    builders = {
+        "sumset": lambda: sumset(a, a),
+        "productset": lambda: productset(a, a),
+        "build_prime_reciprocal_set": lambda: build_prime_reciprocal_set(
+            BaseSetSpec(field, 1, Fraction(1, 2), u=2))[0],
+        "from_members": lambda: ResidueSet.from_members(field, [4, 7]),
+        "empty": lambda: ResidueSet.empty(field),
+        "full": lambda: ResidueSet.full(field),
+    }
+    for name, build in builders.items():
+        built.clear()
+        t = build()
+        assert built and built[-1] is t, name
+        assert not t.bits.flags.writeable, name

@@ -78,6 +78,9 @@ grow --p 101 --k 1 --beta 1/1 --max-iters 0
 expsum --p 100 --random-size 200
 expsum --p 101 --members 1,2 --grow --J 2
 expsum --p 101 --J 2
+expsum --p 100003 --members 1,2,3,5,7 --min-J
+expsum --p 1009 --members 1,2,3 --min-J --min-J-cap 400
+expsum --p 10007 --random-size 150 --min-J --seed 3
 """
 
 
