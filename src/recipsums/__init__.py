@@ -34,7 +34,6 @@ _EXPORTS = {
         "NotPrime",
         "Stalled",
         "Unreachable",
-        "ZeroInverse",
     ),
     "expsums": (
         "BilinearReport",
@@ -53,7 +52,7 @@ _EXPORTS = {
         "pair_product_multiplicity",
         "verify_bilinear_bound",
     ),
-    "field": ("PrimeField", "Residue", "make_field", "mod_inv", "recip_power"),
+    "field": ("PrimeField",),
     "growth": (
         "GrowthConfig",
         "GrowthStep",
@@ -73,7 +72,6 @@ _EXPORTS = {
         "min_terms",
         "n_max",
         "scan",
-        "verify_witness",
     ),
     "sets": ("ResidueSet",),
 }

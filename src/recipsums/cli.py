@@ -56,7 +56,7 @@ from .expsums import (
     minimal_covering_J,
     verify_bilinear_bound,
 )
-from .field import make_field, require_dense
+from .field import PrimeField, require_dense
 from .growth import GrowthConfig, grow_until, n_bound, term_budget
 from .intmath import pow_floor
 from .represent import ReprProblem, build_layer_table, min_terms, scan
@@ -194,9 +194,9 @@ def _emit(doc: dict, fh) -> None:
 
 
 def _cmd_represent(args) -> tuple[dict, dict]:
-    problem = ReprProblem(make_field(args.p), args.k, args.epsilon)
+    problem = ReprProblem(PrimeField(args.p), args.k, args.epsilon)
     witness = min_terms(args.a, problem)
-    result = {"target": witness.target.value, "N": witness.n, "witness": list(witness.xs)}
+    result = {"target": witness.target, "N": witness.n, "witness": list(witness.xs)}
     diagnostics: dict = {"H": problem.height, "base_size": build_layer_table(problem).generators.size}
     if args.oracle:
         oracle_n, oracle_witness = exhaustive_min_terms(args.a, problem)
@@ -210,7 +210,7 @@ def _cmd_represent(args) -> tuple[dict, dict]:
 
 
 def _cmd_nmax(args) -> tuple[dict, dict]:
-    problem = ReprProblem(make_field(args.p), args.k, args.epsilon)
+    problem = ReprProblem(PrimeField(args.p), args.k, args.epsilon)
     histogram = build_layer_table(problem).coverage  # write-locked int64, one entry per residue
     result = {"n_max": int(histogram.max()), "histogram": histogram}
     diagnostics: dict = {"H": problem.height}
@@ -231,7 +231,7 @@ def _cmd_scan(args) -> tuple[list[dict], dict]:
 
 
 def _cmd_grow(args) -> tuple[dict, dict]:
-    field = make_field(args.p)
+    field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     base, report = build_prime_reciprocal_set(spec)
     cfg = GrowthConfig(threshold_exponent=args.threshold_exponent, max_iters=args.max_iters)
@@ -263,7 +263,7 @@ def _cmd_grow(args) -> tuple[dict, dict]:
 
 
 def _build_expsum_set(args) -> tuple[ResidueSet, dict]:
-    field = make_field(args.p)
+    field = PrimeField(args.p)
     if args.members is not None:
         t = ResidueSet.from_members(field, args.members)
         source = {"source": "members"}
@@ -312,7 +312,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
 
 
 def _cmd_baseset(args) -> tuple[dict, dict]:
-    field = make_field(args.p)
+    field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     members, report = build_prime_reciprocal_set(spec)
     result = {"u": spec.tuple_length, **dataclasses.asdict(report)}
@@ -322,7 +322,7 @@ def _cmd_baseset(args) -> tuple[dict, dict]:
 
 
 def _cmd_smoothset(args) -> tuple[dict, dict]:
-    field = make_field(args.p)
+    field = PrimeField(args.p)
     smooth = build_smooth_set(field, args.bound)
     result: dict = {"bound": args.bound, "size": len(smooth)}
     if args.epsilon is not None and args.theta is not None:

@@ -9,10 +9,6 @@ class NotPrime(Error):
     """The modulus failed the deterministic primality check."""
 
 
-class ZeroInverse(Error):
-    """Attempted to invert the zero residue."""
-
-
 class NotInvertible(Error):
     """Attempted a reciprocal of an integer divisible by the modulus."""
 

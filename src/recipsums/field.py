@@ -1,8 +1,8 @@
-"""Exact arithmetic in Z/pZ: inverses, powers, reciprocal k-th powers.
+"""Exact arithmetic in Z/pZ: reciprocal k-th powers and discrete logs.
 
-All values are plain Python integers reduced to [0, p-1]; intermediate
-products never touch floating point. Inversion is Python's pow(a, -1, p);
-Fermat exponentiation is an independent cross-check. Whole arrays of
+Residues are plain Python integers reduced to [0, p-1]; intermediate
+products never touch floating point. Inversion is intmath.inv_mod, Python's
+pow(a, -1, p); Fermat exponentiation is an independent cross-check. Whole arrays of
 reciprocal powers come from one int64 square-and-multiply, exact up to
 DENSE_P_MAX, the dense-modulus ceiling that this module owns.
 A field builds its discrete-log tables on first use and keeps them for as
@@ -16,10 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotInvertible, NotPrime, ZeroInverse
+from .errors import NotInvertible, NotPrime
 from .intmath import inv_mod, is_prime
 
-# Residue products are taken in int64 (recip_powers, the dlog tables, the dense
+# Products of residues are taken in int64 (recip_powers, the dlog tables, the dense
 # kernels), exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
 DENSE_P_MAX = 3_037_000_500
 
@@ -39,15 +39,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
-
-    def residue(self, value: int) -> "Residue":
-        return Residue(value % self.p, self)
-
-    def inv(self, x: int) -> int:
-        """Inverse of x mod p as an integer; raises ZeroInverse on x = 0."""
-        if x % self.p == 0:
-            raise ZeroInverse(f"0 has no inverse modulo {self.p}")
-        return inv_mod(x, self.p)
 
     def recip_power(self, x: int, k: int) -> int:
         """(x**k)^{-1} mod p as an integer, for p not dividing x, k >= 1."""
@@ -133,50 +124,8 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/pZ, stored reduced to [0, p-1]."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"residue {self.value} out of range [0, {self.field.p - 1}]")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        return Residue((self.value + other.value) % self.field.p, self.field)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        return Residue((self.value - other.value) % self.field.p, self.field)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        return Residue(self.value * other.value % self.field.p, self.field)
-
-    def inv(self) -> "Residue":
-        return Residue(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def make_field(p: int) -> PrimeField:
-    """Validate p with the deterministic primality check and wrap it."""
-    return PrimeField(p)
-
-
-def mod_inv(x: Residue) -> Residue:
-    """Multiplicative inverse; raises ZeroInverse for the zero residue."""
-    return x.inv()
-
-
-def recip_power(x: int, k: int, field: PrimeField) -> Residue:
-    """The residue 1/x^k mod p, via square-and-multiply then inversion."""
-    return Residue(field.recip_power(x, k), field)
-
-
-def recip_power_fermat(x: int, k: int, field: PrimeField) -> Residue:
+def recip_power_fermat(x: int, k: int, field: PrimeField) -> int:
     """Cross-check path: 1/x^k computed as x^{k(p-2)} mod p."""
     if x % field.p == 0:
         raise NotInvertible(f"{x} is divisible by {field.p}")
-    return Residue(pow(pow(x, k, field.p), field.p - 2, field.p), field)
+    return pow(pow(x, k, field.p), field.p - 2, field.p)

@@ -44,13 +44,15 @@ def _naive_pays(a: ResidueSet, b: ResidueSet) -> bool:
 
 def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: np.ufunc) -> ResidueSet:
     """{op(x, y) mod p} over all member pairs, in blocks of rows of about p
-    pairs each, so every temporary stays O(p)."""
+    pairs each, computed into one reused buffer so the peak stays O(p)."""
     p = require_same_field(a, b).p
     am, bm = a.members(), b.members()
     bits = np.zeros(p, dtype=bool)
     rows = max(1, p // max(bm.size, 1))
+    buffer = np.empty((min(rows, am.size), bm.size), dtype=np.int64)
     for start in range(0, am.size, rows):
-        block = op(am[start : start + rows, None], bm[None, :])
+        block = buffer[: am.size - start]
+        op(am[start : start + rows, None], bm[None, :], out=block)
         block %= p
         bits[block.ravel()] = True
     return ResidueSet(a.field, bits)

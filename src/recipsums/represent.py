@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Error
-from .field import PrimeField, Residue, make_field, require_dense
+from .field import PrimeField, require_dense
 from .intmath import pow_floor
 
 
@@ -84,12 +84,14 @@ class Witness:
     """A verified representation target = sum of reciprocal k-th powers."""
 
     problem: ReprProblem
-    target: Residue
+    target: int
     xs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not check_representation(self.xs, self.target.value, self.problem):
-            raise ValueError(f"witness {self.xs} does not represent {self.target.value}")
+        if not 0 <= self.target < self.problem.field.p:
+            raise ValueError(f"target {self.target} out of range [0, {self.problem.field.p - 1}]")
+        if not check_representation(self.xs, self.target, self.problem):
+            raise ValueError(f"witness {self.xs} does not represent {self.target}")
 
     @property
     def n(self) -> int:
@@ -108,11 +110,6 @@ def check_representation(xs, target_value: int, problem: ReprProblem) -> bool:
     return total == target_value % p
 
 
-def verify_witness(w: Witness, problem: ReprProblem) -> bool:
-    """Recompute a witness's congruence and admissibility from scratch."""
-    return check_representation(w.xs, w.target.value, problem)
-
-
 @dataclass(frozen=True)
 class LayerTable:
     """Minimal term count of every residue, as BFS distances from 0."""
@@ -128,7 +125,7 @@ def build_layer_table(problem: ReprProblem) -> LayerTable:
 
 def _layer_table(problem: ReprProblem) -> LayerTable:
     """BFS from 0 over the generators G: level j+1 is (level j + G) minus
-    the residues already reached. Residue 0 starts unreached, so it gets
+    the residues already reached. The residue 0 starts unreached, so it gets
     its minimal positive count; level 1 is G itself, as 0 is not in G.
     coverage is the only length-p array the table keeps, and it is allocated
     first, so a p too large for memory fails before any other is built; G is
@@ -317,7 +314,7 @@ def _write_planes(coverage: np.ndarray, planes: list[int]) -> None:
     coverage += levels
 
 
-def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
+def min_terms(a: int, problem: ReprProblem) -> Witness:
     """Minimal representation of a, with the lexicographically smallest witness."""
     p = problem.field.p
     target = int(a) % p
@@ -336,7 +333,7 @@ def min_terms(a: Residue | int, problem: ReprProblem) -> Witness:
         xs.append(bases[i])
         t = (t - int(recips[i])) % p
     xs.append(bases[int((recips == t).argmax())])
-    return Witness(problem=problem, target=problem.field.residue(target), xs=tuple(xs))
+    return Witness(problem=problem, target=target, xs=tuple(xs))
 
 
 def n_max(problem: ReprProblem) -> tuple[int, list[int]]:
@@ -358,7 +355,7 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
         "error": None,
     }
     try:
-        problem = ReprProblem(make_field(p), k, epsilon)
+        problem = ReprProblem(PrimeField(p), k, epsilon)
         table = build_layer_table(problem)
         row["H"] = problem.height
         row["base_size"] = table.generators.size

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import FieldMismatch
-from .field import DENSE_P_MAX, PrimeField, require_dense  # noqa: F401 - sets.DENSE_P_MAX stays importable
+from .field import PrimeField, require_dense
 
 
 @dataclasses.dataclass(frozen=True)

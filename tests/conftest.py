@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from recipsums import ResidueSet, make_field
+from recipsums import PrimeField, ResidueSet
 
 
 def random_subset(p: int, rng: random.Random, min_size: int = 1) -> ResidueSet:
     size = rng.randint(min_size, p - 1)
-    return ResidueSet.from_members(make_field(p), rng.sample(range(p), size))
+    return ResidueSet.from_members(PrimeField(p), rng.sample(range(p), size))
 
 
 def epsilon_for_height(p: int, h: int) -> Fraction:

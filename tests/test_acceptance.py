@@ -14,6 +14,7 @@ import pytest
 from recipsums import (
     BaseSetSpec,
     GrowthConfig,
+    PrimeField,
     ReprProblem,
     ResidueSet,
     build_layer_table,
@@ -24,15 +25,14 @@ from recipsums import (
     covering_counts_fourier,
     exp_sum_profile,
     grow_until,
-    make_field,
     min_terms,
     n_max,
     primes_up_to,
-    verify_witness,
 )
 from recipsums.bruteforce import exhaustive_depth_table
 from recipsums.cli import main as cli_main
 from recipsums.growth import productset_dlog, productset_naive, sumset_conv, sumset_naive
+from recipsums.represent import check_representation
 
 from conftest import epsilon_for_height
 
@@ -53,7 +53,7 @@ def witness_grid():
     failures: list[tuple] = []
     witnesses = 0
     for p in primes_up_to(499):
-        field = make_field(p)
+        field = PrimeField(p)
         for k in K_GRID:
             for eps in EPS_GRID:
                 problem = ReprProblem(field, k, eps)
@@ -62,7 +62,7 @@ def witness_grid():
                 for a in range(p):
                     w = min_terms(a, problem)
                     witnesses += 1
-                    if not verify_witness(w, problem):
+                    if not check_representation(w.xs, w.target, problem):
                         failures.append((p, k, eps, a))
     elapsed = time.monotonic() - start
     return nmax_map, failures, witnesses, elapsed
@@ -72,7 +72,7 @@ def test_criterion_01_oracle_equivalence():
     start = time.monotonic()
     cases = 0
     for p in PRIMES_TO_31:
-        field = make_field(p)
+        field = PrimeField(p)
         for k in (1, 2):
             for h in range(1, p + 1):
                 problem = ReprProblem(field, k, epsilon_for_height(p, h))
@@ -109,7 +109,7 @@ def test_criterion_04_distinctness_regime():
     chosen = [next(q for q in pool if q >= t) for t in targets]
     instances = 0
     for p in chosen:
-        field = make_field(p)
+        field = PrimeField(p)
         for beta, u in [(Fraction(1, 3), 1), (Fraction(1, 5), 2)]:
             spec = BaseSetSpec(field, 1, beta, u=u)
             members, report = build_prime_reciprocal_set(spec)
@@ -126,7 +126,7 @@ def test_criterion_05_growth_termination():
     primes = [q for q in primes_up_to(997) if q >= 101]
     beta = Fraction(1, 4)
     for p in primes:
-        field = make_field(p)
+        field = PrimeField(p)
         base, _ = build_prime_reciprocal_set(BaseSetSpec(field, 1, beta, u=1))
         final, trace = grow_until(base, GrowthConfig(), 1, beta)
         assert trace.n <= 10, (p, trace.n)
@@ -141,7 +141,7 @@ def test_criterion_05_growth_termination():
 def test_criterion_06_parseval_and_bilinear():
     checked = 0
     for p in (11, 101, 499):
-        field = make_field(p)
+        field = PrimeField(p)
         rng = random.Random(600 + p)
         for _ in range(100):
             size = rng.randint(1, p - 1)
@@ -158,7 +158,7 @@ def test_criterion_07_covering_dual_computation():
     rng = random.Random(700)
     for case in range(20):
         p = rng.choice([7, 11, 17, 31, 53, 101])
-        field = make_field(p)
+        field = PrimeField(p)
         size = rng.randint(1, min(12, p - 1))
         t = ResidueSet.from_members(field, rng.sample(range(p), size))
         j = rng.randint(1, 5)
@@ -170,7 +170,7 @@ def test_criterion_07_covering_dual_computation():
 
 
 def test_criterion_08_lemma_end_to_end():
-    field = make_field(101)
+    field = PrimeField(101)
     beta = Fraction(1, 4)
     base, _ = build_prime_reciprocal_set(BaseSetSpec(field, 1, beta, u=1))
     t, _ = grow_until(base, GrowthConfig(), 1, beta)
@@ -192,7 +192,7 @@ def test_criterion_09_kernel_equivalence():
     primes = primes_up_to(499)
     for _ in range(1000):
         p = rng.choice(primes)
-        field = make_field(p)
+        field = PrimeField(p)
         a = ResidueSet.from_members(field, rng.sample(range(p), rng.randint(1, p - 1)))
         b = ResidueSet.from_members(field, rng.sample(range(p), rng.randint(1, p - 1)))
         assert sumset_naive(a, b) == sumset_conv(a, b)

@@ -9,11 +9,11 @@ from recipsums import (
     BaseSetSpec,
     EmptyBase,
     NonPositiveU,
+    PrimeField,
     build_prime_reciprocal_set,
     build_smooth_set,
     check_multiplicative_conditions,
     compute_u,
-    make_field,
     primes_up_to,
 )
 
@@ -36,7 +36,7 @@ def test_primes_up_to():
 
 def test_prime_reciprocal_set_u1():
     # floor(101^(1/2)) = 10, primes {2,3,5,7}, inverses mod 101
-    spec = BaseSetSpec(make_field(101), 1, Fraction(1, 2), u=1)
+    spec = BaseSetSpec(PrimeField(101), 1, Fraction(1, 2), u=1)
     members, report = build_prime_reciprocal_set(spec)
     assert sorted(members) == [29, 34, 51, 81]
     assert report.tuple_count == 4
@@ -46,7 +46,7 @@ def test_prime_reciprocal_set_u1():
 
 
 def test_prime_reciprocal_set_u2():
-    spec = BaseSetSpec(make_field(101), 1, Fraction(1, 2), u=2)
+    spec = BaseSetSpec(PrimeField(101), 1, Fraction(1, 2), u=2)
     members, report = build_prime_reciprocal_set(spec)
     assert report.tuple_count == 6
     # pairwise sums of {51, 34, 81, 29} mod 101, enumerated by hand
@@ -56,14 +56,14 @@ def test_prime_reciprocal_set_u2():
 
 def test_prime_reciprocal_set_empty_base():
     # floor(11^(3/5)) = 4, only primes {2, 3}
-    spec = BaseSetSpec(make_field(11), 1, Fraction(3, 5), u=3)
+    spec = BaseSetSpec(PrimeField(11), 1, Fraction(3, 5), u=3)
     with pytest.raises(EmptyBase):
         build_prime_reciprocal_set(spec)
 
 
 def test_u1_size_equals_prime_count():
     for p, beta in [(101, Fraction(1, 2)), (499, Fraction(1, 2)), (1009, Fraction(1, 3))]:
-        spec = BaseSetSpec(make_field(p), 1, beta, u=1)
+        spec = BaseSetSpec(PrimeField(p), 1, beta, u=1)
         members, report = build_prime_reciprocal_set(spec)
         assert report.set_size == report.prime_count == report.tuple_count
         assert members.card == len(primes_up_to(report.prime_height))
@@ -78,7 +78,7 @@ def test_regime_implies_distinctness():
         (4001, 1, Fraction(1, 4), 2),
     ]
     for p, k, beta, u in cases:
-        spec = BaseSetSpec(make_field(p), k, beta, u=u)
+        spec = BaseSetSpec(PrimeField(p), k, beta, u=u)
         members, report = build_prime_reciprocal_set(spec)
         assert report.regime_holds
         assert report.set_size == report.tuple_count
@@ -89,7 +89,7 @@ def test_elementary_symmetric_reconstruction():
     matches the sum of complementary products."""
     rng = random.Random(3)
     for p, k, beta, u in [(101, 1, Fraction(1, 2), 2), (499, 2, Fraction(1, 2), 2)]:
-        field = make_field(p)
+        field = PrimeField(p)
         spec = BaseSetSpec(field, k, beta, u=u)
         members, report = build_prime_reciprocal_set(spec)
         primes = primes_up_to(spec.prime_height)
@@ -103,14 +103,14 @@ def test_elementary_symmetric_reconstruction():
                 math.prod(pow(q, k, p) for j, q in enumerate(combo) if j != i) % p
                 for i in range(u)
             ) % p
-            assert lhs == sym * field.inv(prod_k) % p
+            assert lhs == sym * pow(prod_k, -1, p) % p
             assert lhs in members
 
 
 def test_collision_outside_regime():
     # 1/2^2 + 1/3^2 = 1/3^2 + 1/5^2 = 6 mod 7, so the three pair-tuples
     # over primes {2,3,5} yield only two residues.
-    spec = BaseSetSpec(make_field(7), 2, Fraction(5, 6), u=2)
+    spec = BaseSetSpec(PrimeField(7), 2, Fraction(5, 6), u=2)
     assert spec.prime_height == 5
     members, report = build_prime_reciprocal_set(spec)
     assert not report.regime_holds
@@ -121,20 +121,20 @@ def test_collision_outside_regime():
 
 
 def test_small_beta_regime_flag():
-    assert BaseSetSpec(make_field(101), 1, Fraction(1, 6), u=1).small_beta_regime
-    assert not BaseSetSpec(make_field(101), 1, Fraction(1, 2), u=1).small_beta_regime
-    assert not BaseSetSpec(make_field(101), 2, Fraction(1, 10), u=1).small_beta_regime
+    assert BaseSetSpec(PrimeField(101), 1, Fraction(1, 6), u=1).small_beta_regime
+    assert not BaseSetSpec(PrimeField(101), 1, Fraction(1, 2), u=1).small_beta_regime
+    assert not BaseSetSpec(PrimeField(101), 2, Fraction(1, 10), u=1).small_beta_regime
 
 
 def test_build_smooth_set_examples():
-    assert build_smooth_set(make_field(11), 2).integers == (1, 2, 4, 8)
-    assert build_smooth_set(make_field(11), 3).integers == (1, 2, 3, 4, 6, 8, 9)
-    assert build_smooth_set(make_field(3), 2).integers == (1, 2)
+    assert build_smooth_set(PrimeField(11), 2).integers == (1, 2, 4, 8)
+    assert build_smooth_set(PrimeField(11), 3).integers == (1, 2, 3, 4, 6, 8, 9)
+    assert build_smooth_set(PrimeField(3), 2).integers == (1, 2)
 
 
 def test_smooth_set_is_closed():
     for p, bound in [(11, 2), (101, 5), (499, 7), (1009, 11)]:
-        field = make_field(p)
+        field = PrimeField(p)
         smooth = build_smooth_set(field, bound)
         report = check_multiplicative_conditions(smooth, field, Fraction(1, 2), Fraction(1, 2))
         assert report.closure_holds
@@ -142,7 +142,7 @@ def test_smooth_set_is_closed():
 
 
 def test_closure_examples():
-    f11 = make_field(11)
+    f11 = PrimeField(11)
     ok = check_multiplicative_conditions([1, 2, 4, 8], f11, Fraction(1, 2), Fraction(1, 2))
     assert ok.closed_under_product and ok.closure_holds
     bad = check_multiplicative_conditions([1, 2, 3], f11, Fraction(1, 2), Fraction(1, 2))
@@ -154,7 +154,7 @@ def test_closure_examples():
 
 
 def test_density_check_exact():
-    field = make_field(101)
+    field = PrimeField(101)
     smooth = build_smooth_set(field, 10)
     # epsilon = 1/2, theta = 1/2: count of elements <= 10 against 101^(1/4)
     report = check_multiplicative_conditions(smooth, field, Fraction(1, 2), Fraction(1, 2))

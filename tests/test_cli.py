@@ -13,7 +13,7 @@ import pytest
 from conftest import plain_json
 from recipsums import cli
 from recipsums.cli import main
-from recipsums.sets import DENSE_P_MAX, require_dense
+from recipsums.field import DENSE_P_MAX, require_dense
 
 
 def run_cli(capsys, *argv):

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from recipsums import ResidueSet, check_covering_positivity, make_field
+from recipsums import PrimeField, ResidueSet, check_covering_positivity
 from recipsums import expsums
 from recipsums.basesets import BaseSetSpec, build_prime_reciprocal_set
 from recipsums.convolve import cyclic_convolve_exact, cyclic_power_exact
@@ -24,7 +24,7 @@ from recipsums.growth import GrowthConfig, grow_until
 
 @lru_cache(maxsize=None)
 def grown(p: int) -> ResidueSet:
-    spec = BaseSetSpec(make_field(p), 1, Fraction(1, 4))
+    spec = BaseSetSpec(PrimeField(p), 1, Fraction(1, 4))
     base, _ = build_prime_reciprocal_set(spec)
     return grow_until(base, GrowthConfig(), spec.tuple_length, spec.beta)[0]
 
@@ -33,7 +33,7 @@ def grown(p: int) -> ResidueSet:
 def subgroup(p: int, index: int) -> ResidueSet:
     """The multiplicative subgroup of index `index`: counts are constant on its cosets."""
     g = primitive_root(p)
-    return ResidueSet.from_members(make_field(p), [pow(g, index * i, p) for i in range((p - 1) // index)])
+    return ResidueSet.from_members(PrimeField(p), [pow(g, index * i, p) for i in range((p - 1) // index)])
 
 
 def full_counts(t: ResidueSet, j: int) -> list[int]:
@@ -51,7 +51,7 @@ def grid():
     cases = [(grown(1009), j) for j in range(1, 14)]
     cases += [(grown(10007), j) for j in (4, 5, 12, 13)]
     for p in (101, 1009):
-        field = make_field(p)
+        field = PrimeField(p)
         for j in range(1, 14):
             cases.append((ResidueSet.from_members(field, rng.sample(range(p), rng.randint(1, p))), j))
         cases += [(ResidueSet.from_members(field, [0]), j) for j in (1, 2, 3, 8, 13)]

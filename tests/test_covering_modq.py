@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from recipsums import check_covering_positivity, compute_J, make_field
+from recipsums import PrimeField, check_covering_positivity, compute_J
 from recipsums import expsums
 from recipsums.basesets import BaseSetSpec, build_prime_reciprocal_set
 from recipsums.expsums import pair_product_multiplicity
@@ -26,7 +26,7 @@ Q = 8191  # 2^13 - 1
 
 @lru_cache(maxsize=None)
 def grown(p: int):
-    spec = BaseSetSpec(make_field(p), 1, Fraction(1, 4))
+    spec = BaseSetSpec(PrimeField(p), 1, Fraction(1, 4))
     base, _ = build_prime_reciprocal_set(spec)
     return grow_until(base, GrowthConfig(), spec.tuple_length, spec.beta)[0]
 

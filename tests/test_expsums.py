@@ -12,6 +12,7 @@ from recipsums import (
     BoundViolated,
     ExpSumProfile,
     NonPositiveBeta,
+    PrimeField,
     ResidueSet,
     check_covering_positivity,
     compute_J,
@@ -21,7 +22,6 @@ from recipsums import (
     exponent_excess,
     f_profile,
     h_profile,
-    make_field,
     minimal_covering_J,
     pair_product_multiplicity,
     verify_bilinear_bound,
@@ -34,13 +34,13 @@ from recipsums.growth import product_counts
 
 
 def rset(p, members):
-    return ResidueSet.from_members(make_field(p), members)
+    return ResidueSet.from_members(PrimeField(p), members)
 
 
 def test_h_profile_trivial():
     h = h_profile(rset(7, [0]))
     assert np.allclose(h, np.ones(7))
-    h_full = h_profile(ResidueSet.full(make_field(7)))
+    h_full = h_profile(ResidueSet.full(PrimeField(7)))
     assert h_full[0] == pytest.approx(7)
     assert np.allclose(np.abs(h_full[1:]), 0, atol=1e-9)
 
@@ -105,7 +105,7 @@ def test_bilinear_bound():
     t = rset(101, rng.sample(range(101), 20))
     assert verify_bilinear_bound(exp_sum_profile(t)).holds
 
-    assert verify_bilinear_bound(exp_sum_profile(ResidueSet.full(make_field(7)))).holds
+    assert verify_bilinear_bound(exp_sum_profile(ResidueSet.full(PrimeField(7)))).holds
 
 
 def test_bilinear_worst_a_is_smaller_mirror():
@@ -219,7 +219,7 @@ def test_fourier_agreement(rng):
 
 
 def test_covering_positivity_full_set():
-    report = check_covering_positivity(ResidueSet.full(make_field(7)), 1)
+    report = check_covering_positivity(ResidueSet.full(PrimeField(7)), 1)
     assert report.all_covered
     assert report.min_count >= 6  # every nonzero target has p-1 pair factorizations
 
@@ -244,7 +244,7 @@ def test_minimal_covering_J():
     # three reach everything (1+2+4 = 7).
     assert minimal_covering_J(rset(7, [1, 2])) == 3
     assert minimal_covering_J(rset(7, [0]), j_cap=5) is None
-    assert minimal_covering_J(ResidueSet.full(make_field(7))) == 1
+    assert minimal_covering_J(ResidueSet.full(PrimeField(7))) == 1
 
 
 def minimal_covering_J_counts(t, j_cap):

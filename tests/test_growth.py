@@ -11,11 +11,11 @@ from recipsums import (
     GrowthConfig,
     IterationCap,
     NonPositiveTheta,
+    PrimeField,
     ResidueSet,
     Stalled,
     grow_step,
     grow_until,
-    make_field,
     n_bound,
     productset,
     sumset,
@@ -35,7 +35,7 @@ from recipsums.growth import (
 
 
 def rset(p, members):
-    return ResidueSet.from_members(make_field(p), members)
+    return ResidueSet.from_members(PrimeField(p), members)
 
 
 def sumset_py(a, b):
@@ -52,7 +52,7 @@ def test_sumset_examples():
     a = rset(7, [1, 3, 5])
     assert sumset(a, rset(7, [0])) == a
     assert sorted(sumset(rset(5, [1, 2]), rset(5, [1, 2]))) == [2, 3, 4]
-    full = ResidueSet.full(make_field(7))
+    full = ResidueSet.full(PrimeField(7))
     assert sumset(full, a) == full
 
 
@@ -104,7 +104,7 @@ def test_from_members_array_matches_iterable():
 
 def test_empty_operand():
     a = rset(7, [1, 2])
-    empty = ResidueSet.empty(make_field(7))
+    empty = ResidueSet.empty(PrimeField(7))
     assert sumset(a, empty).card == 0
     assert productset(empty, a).card == 0
 
@@ -140,7 +140,7 @@ def test_dlog_tables_match_loop(p):
         powers.append(acc)
         dlog[acc] = i
         acc = acc * g % p
-    got_powers, got_dlog = make_field(p).dlog_tables
+    got_powers, got_dlog = PrimeField(p).dlog_tables
     assert got_powers.tolist() == powers
     assert got_dlog.tolist() == dlog
     assert not got_powers.flags.writeable and not got_dlog.flags.writeable
@@ -153,7 +153,7 @@ def test_grow_until_builds_dlog_tables_once_per_field(monkeypatch):
     root, dlog_kernel = field_module.primitive_root, growth.productset_dlog
     monkeypatch.setattr(field_module, "primitive_root", lambda p: roots.append(p) or root(p))
     monkeypatch.setattr(growth, "productset_dlog", lambda a, b: dense.append(a.card) or dlog_kernel(a, b))
-    field = make_field(10007)
+    field = PrimeField(10007)
     cfg = GrowthConfig(threshold_exponent=Fraction(9, 10))
     for seed in [range(1, 60), [1, 2, 3]]:  # one dense productset in each run
         grow_until(ResidueSet.from_members(field, seed), cfg, 1, Fraction(1, 4))
@@ -183,7 +183,7 @@ def test_grow_step_base_set_101():
 
 
 def test_grow_until_already_large():
-    full = ResidueSet.full(make_field(11))
+    full = ResidueSet.full(PrimeField(11))
     final, trace = grow_until(full, GrowthConfig(), 1, Fraction(1, 4))
     assert trace.n == 0
     assert final == full
@@ -352,7 +352,7 @@ def test_dispatch_switches_at_pairs_per_residue(monkeypatch):
 
 
 def test_kernel_results_are_locked_and_callers_arrays_copied():
-    field = make_field(7)
+    field = PrimeField(7)
     bits = np.zeros(7, dtype=bool)
     bits[[1, 3]] = True
     s = ResidueSet(field, bits)
@@ -382,7 +382,7 @@ def test_every_set_is_built_by_the_copying_constructor(monkeypatch, dense):
     monkeypatch.setattr(ResidueSet, "__init__", counted)
     if dense:
         monkeypatch.setattr(growth, "_NAIVE_PAIRS_PER_RESIDUE", 0)
-    field = make_field(101)
+    field = PrimeField(101)
     a = rset(101, [1, 2, 3, 5, 8])
     builders = {
         "sumset": lambda: sumset(a, a),

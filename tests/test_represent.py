@@ -16,11 +16,9 @@ from recipsums import (
     ReprProblem,
     ResidueSet,
     build_layer_table,
-    make_field,
     min_terms,
     n_max,
     scan,
-    verify_witness,
 )
 from recipsums.basesets import primes_up_to
 from recipsums.bruteforce import exhaustive_depth_table, exhaustive_min_terms
@@ -33,7 +31,7 @@ from conftest import epsilon_for_height
 
 
 def problem(p, k, epsilon):
-    return ReprProblem(make_field(p), k, epsilon)
+    return ReprProblem(PrimeField(p), k, epsilon)
 
 
 def base_reciprocals(pr):
@@ -115,14 +113,14 @@ def test_min_terms_zero_needs_two():
     w = min_terms(0, problem(7, 1, Fraction(1, 1)))
     assert w.n == 2
     assert w.xs == (1, 6)  # lexicographically smallest
-    assert verify_witness(w, w.problem)
+    assert check_representation(w.xs, w.target, w.problem)
 
 
 def test_min_terms_height_two():
     pr = problem(7, 1, epsilon_for_height(7, 2))
     w = min_terms(3, pr)
     assert w.n == 3  # confirmed by the exhaustive oracle below
-    assert verify_witness(w, pr)
+    assert check_representation(w.xs, w.target, pr)
     oracle_n, oracle_xs = exhaustive_min_terms(3, pr)
     assert oracle_n == 3
     assert w.xs == oracle_xs
@@ -168,7 +166,7 @@ def test_coverage_matches_exact_layers_near_10k(k, epsilon):
     assert np.array_equal(table.coverage, minimal_layer_counts(pr))
     for a in rng.sample(range(p), 20):
         w = min_terms(a, pr)
-        assert w.n == table.coverage[a] and verify_witness(w, pr)
+        assert w.n == table.coverage[a] and check_representation(w.xs, w.target, pr)
 
 
 def test_reciprocals_match_scalar_oracle(monkeypatch):
@@ -360,7 +358,7 @@ def test_tables_are_freed_with_their_objects():
     rng = np.random.default_rng(0)
 
     def work(p):
-        field = make_field(p)
+        field = PrimeField(p)
         a = ResidueSet.from_members(field, rng.choice(p, 300, replace=False))
         assert productset_dlog(a, a) == productset_naive(a, a)
         assert build_layer_table(ReprProblem(field, 2, Fraction(1, 3))).coverage.size == p
@@ -411,7 +409,7 @@ def test_witness_matches_oracle_small_grid():
                     oracle_n, oracle_xs = exhaustive_min_terms(a, pr)
                     assert w.n == oracle_n
                     assert w.xs == oracle_xs  # lexicographic minimum
-                    assert verify_witness(w, pr)
+                    assert check_representation(w.xs, w.target, pr)
 
 
 def test_monotone_in_epsilon():
@@ -446,7 +444,20 @@ def test_witness_construction_validates():
     from recipsums import Witness
 
     with pytest.raises(ValueError):
-        Witness(problem=pr, target=pr.field.residue(3), xs=(1, 1))
+        Witness(problem=pr, target=3, xs=(1, 1))
+
+
+def test_witness_target_is_a_reduced_int():
+    from recipsums import Witness
+
+    pr = problem(101, 1, Fraction(1, 2))
+    w = min_terms(-5, pr)
+    assert type(w.target) is int and w.target == 96
+    assert check_representation(w.xs, 96, pr)
+    assert min_terms(10**12, pr).target == 10**12 % 101
+    for target in (101, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            Witness(problem=pr, target=target, xs=w.xs)
 
 
 def test_scan_small_range():

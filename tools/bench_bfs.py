@@ -21,7 +21,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from recipsums import ReprProblem, build_layer_table, make_field, primes_up_to
+from recipsums import PrimeField, ReprProblem, build_layer_table, primes_up_to
 
 # (name, primes, k, epsilon), smallest first.
 LADDER = [
@@ -41,7 +41,7 @@ LADDER = [
 
 def time_case(primes: list[int], k: int, epsilon: Fraction) -> tuple[float, float, int]:
     """Wall and CPU seconds to build every table, and the deepest level among them."""
-    problems = [ReprProblem(make_field(p), k, epsilon) for p in primes]
+    problems = [ReprProblem(PrimeField(p), k, epsilon) for p in primes]
     for problem in problems:
         problem.reciprocals
     wall, cpu = time.perf_counter(), time.process_time()

@@ -11,7 +11,7 @@ address-space limit, so a p too large for memory fails the same way on any
 machine. The list is the 45 benchmark workload commands
 (``perfbench/workloads.generate`` for each workload and seeds 7, 101 and
 1000), the README examples, and commands that exercise report shapes,
-error paths and the int64 ceiling. The tool prints every command whose
+error paths, target reduction and the int64 ceiling. The tool prints every command whose
 stdout SHA-256 or exit code differs between the checkouts, or whose
 stderr holds a Python traceback, and exits 1 if there is any.
 """
@@ -43,6 +43,8 @@ nmax --p 89 --k 1 --epsilon 1/3 --oracle
 nmax --p 97 --k 3 --epsilon 1/1 --oracle
 represent --p 1000003 --k 1 --epsilon 1/1 --a 777
 represent --p 99991 --k 1 --epsilon 1/8 --a 5
+represent --p 101 --k 1 --epsilon 1/2 --a -5
+represent --p 101 --k 2 --epsilon 1/2 --a 1000000000000
 nmax --p 1000003 --k 1 --epsilon 1/3
 grow --p 1000003 --k 1 --beta 1/4
 grow --p 10007 --k 1 --beta 1/4 --threshold-exponent 9/10
