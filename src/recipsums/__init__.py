@@ -14,7 +14,6 @@ _EXPORTS = {
         "BaseSetSpec",
         "DistinctnessReport",
         "MultiplicativityReport",
-        "SmoothSet",
         "build_prime_reciprocal_set",
         "build_smooth_set",
         "check_multiplicative_conditions",
@@ -38,7 +37,6 @@ _EXPORTS = {
     "expsums": (
         "BilinearReport",
         "CoveringPositivity",
-        "CoveringTable",
         "ExpSumProfile",
         "check_covering_positivity",
         "compute_J",

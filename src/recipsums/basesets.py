@@ -143,20 +143,9 @@ def build_prime_reciprocal_set(spec: BaseSetSpec) -> tuple[ResidueSet, Distinctn
     return members, report
 
 
-@dataclass(frozen=True)
-class SmoothSet:
-    """Integers in [1, p-1] whose prime factors all lie below a bound."""
-
-    field: PrimeField
-    bound: int
-    integers: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.integers)
-
-
-def build_smooth_set(field: PrimeField, smoothness_bound: int) -> SmoothSet:
-    """Multiplicative closure of the primes <= smoothness_bound inside [1, p-1]."""
+def build_smooth_set(field: PrimeField, smoothness_bound: int) -> tuple[int, ...]:
+    """The integers in [1, p-1] with no prime factor above smoothness_bound,
+    ascending: the multiplicative closure of those primes."""
     if smoothness_bound < 2:
         raise ValueError("smoothness bound must be >= 2")
     limit = field.p - 1
@@ -170,7 +159,7 @@ def build_smooth_set(field: PrimeField, smoothness_bound: int) -> SmoothSet:
             if t <= limit and t not in found:
                 found.add(t)
                 stack.append(t)
-    return SmoothSet(field, smoothness_bound, tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -196,8 +185,6 @@ def check_multiplicative_conditions(
     the exact count of elements <= floor(p^epsilon) against p^(epsilon*theta)
     in integer arithmetic.
     """
-    if isinstance(elements, SmoothSet):
-        elements = elements.integers
     values = sorted(set(int(v) for v in elements))
     if values and not (1 <= values[0] and values[-1] <= field.p - 1):
         raise ValueError("elements must be integers in [1, p-1]")

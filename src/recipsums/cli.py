@@ -303,9 +303,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
             raise Error(f"--auto-J needs |T| > sqrt(p); |T| = {t.card}, p = {t.field.p}")
         j = diagnostics["auto_J"] = compute_J(excess)
     if j is not None:
-        covering = dataclasses.asdict(check_covering_positivity(t, j))
-        covering["J"] = covering.pop("j")
-        result["covering"] = covering
+        result["covering"] = dataclasses.asdict(check_covering_positivity(t, j))
     if args.min_J:
         result["minimal_J"] = minimal_covering_J(t, j_cap=args.min_J_cap)
     return result, diagnostics
@@ -330,7 +328,7 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
         conditions = result["conditions"] = dataclasses.asdict(report)
         del conditions["closure_counterexample"]
     if args.list_members:
-        result["members"] = list(smooth.integers)
+        result["members"] = list(smooth)
     return result, {}
 
 
@@ -467,22 +465,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args, fh) -> int:
-    doc = {"version": __version__, "config": _config_dict(args)}
+    # Exact counts can pass the 4,300-digit int -> str limit of CPython 3.10.7+:
+    # lift it for this report, then give in-process callers theirs back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
     try:
-        result, diagnostics = _HANDLERS[args.command](args)
-    except (Error, ValueError, OverflowError, RuntimeError, MemoryError) as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(doc, fh)
-        return 1
-    if args.format == "csv":
-        _write_csv(result, fh)
+        doc = {"version": __version__, "config": _config_dict(args)}
+        try:
+            result, diagnostics = _HANDLERS[args.command](args)
+        except (Error, ValueError, OverflowError, RuntimeError, MemoryError) as exc:
+            doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            _emit(doc, fh)
+            return 1
+        if args.format == "csv":
+            _write_csv(result, fh)
+            return 0
+        doc.update(result=result, diagnostics=diagnostics)
+        if args.format == "text":
+            fh.write(_render_text(doc))
+        else:
+            _emit(doc, fh)
         return 0
-    doc.update(result=result, diagnostics=diagnostics)
-    if args.format == "text":
-        fh.write(_render_text(doc))
-    else:
-        _emit(doc, fh)
-    return 0
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

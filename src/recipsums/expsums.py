@@ -8,7 +8,7 @@ class once J is large enough. Covering counts are computed exactly by
 big-integer cyclic convolution. The covering minimum needs no full J-th
 power: a float Fourier ranking under a proven error bound names the few
 candidate residues, and each is counted exactly from the two half powers
-c_floor(J/2) and c_ceil(J/2). The full table stays available, and where
+c_floor(J/2) and c_ceil(J/2). The full table is the fallback, and where
 an error estimate says its Fourier inversion rounds to the exact counts,
 the two are compared entrywise as a cross-check.
 """
@@ -157,28 +157,6 @@ def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class CoveringTable:
-    """Exact counts of ordered J-tuples of pair products summing to each r."""
-
-    p: int
-    set_size: int
-    j: int
-    counts: tuple[int, ...]
-
-    @property
-    def min_count(self) -> int:
-        return min(self.counts)
-
-    @property
-    def min_residue(self) -> int:
-        return self.counts.index(self.min_count)
-
-    @property
-    def all_covered(self) -> bool:
-        return self.min_count > 0
-
-
 def _fourier_check_applicable(set_size: int, j: int, p: int) -> bool:
     # An estimate, not a bound: after the J-th power and the inverse DFT of
     # f = conj(fft(w)) a count is off by about J * log2(p) * |T|^(2J) * 2^-53,
@@ -320,8 +298,9 @@ def _half_power_minimum(t: ResidueSet, j: int) -> tuple[int, int] | None:
     return best
 
 
-def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
-    """Exact covering counts by J-fold cyclic self-convolution of w.
+def covering_counts(t: ResidueSet, j: int) -> tuple[int, ...]:
+    """Exact counts of ordered J-tuples of pair products summing to each r,
+    by J-fold cyclic self-convolution of w.
 
     Where an error estimate (not a proof) puts the rounding of the Fourier
     inversion (1/p) * sum_a f(a)^J * e(-ar/p) below 1/8, that is evaluated too
@@ -330,7 +309,7 @@ def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
     if j < 1:
         raise ValueError("J must be >= 1")
     p = t.field.p
-    counts = cyclic_power_exact(pair_product_multiplicity(t), j, p).tolist()
+    counts = tuple(cyclic_power_exact(pair_product_multiplicity(t), j, p).tolist())
     mass = sum(counts)
     expected = (t.card * t.card) ** j
     if mass != expected:
@@ -339,7 +318,7 @@ def covering_counts(t: ResidueSet, j: int) -> CoveringTable:
         rounded = covering_counts_fourier(t, j)
         if rounded != list(counts):
             raise RuntimeError("Fourier covering counts disagree with exact convolution")
-    return CoveringTable(p=p, set_size=t.card, j=j, counts=tuple(counts))
+    return counts
 
 
 def covering_counts_fourier(t: ResidueSet, j: int) -> list[int]:
@@ -350,7 +329,7 @@ def covering_counts_fourier(t: ResidueSet, j: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CoveringPositivity:
-    j: int
+    J: int
     min_count: int
     min_residue: int
     all_covered: bool
@@ -365,15 +344,11 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
     """Exact positivity check: is every residue a sum of J pair products?
 
     The minimum comes from the half powers and exact candidates; the full
-    table is built only where its Fourier cross-check applies or the
-    candidates cannot be narrowed down.
+    table is built only where those cannot decide it.
     """
-    minimum = None
-    if not _fourier_check_applicable(t.card, j, t.field.p):
-        minimum = _half_power_minimum(t, j)
-    if minimum is None:
-        table = covering_counts(t, j)
-        minimum = table.min_count, table.min_residue
+    minimum = _half_power_minimum(t, j)
+    if minimum is None:  # the least (count, residue) pair of the full table
+        minimum = min(zip(covering_counts(t, j), range(t.field.p)))
     min_count, min_residue = minimum
     beta_excess = exponent_excess(t)
     j_required = j_sufficient = None
@@ -381,7 +356,7 @@ def check_covering_positivity(t: ResidueSet, j: int) -> CoveringPositivity:
         j_required = compute_J(beta_excess)
         j_sufficient = j >= j_required
     return CoveringPositivity(
-        j=j,
+        J=j,
         min_count=min_count,
         min_residue=min_residue,
         all_covered=min_count > 0,

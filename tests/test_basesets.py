@@ -127,9 +127,9 @@ def test_small_beta_regime_flag():
 
 
 def test_build_smooth_set_examples():
-    assert build_smooth_set(PrimeField(11), 2).integers == (1, 2, 4, 8)
-    assert build_smooth_set(PrimeField(11), 3).integers == (1, 2, 3, 4, 6, 8, 9)
-    assert build_smooth_set(PrimeField(3), 2).integers == (1, 2)
+    assert build_smooth_set(PrimeField(11), 2) == (1, 2, 4, 8)
+    assert build_smooth_set(PrimeField(11), 3) == (1, 2, 3, 4, 6, 8, 9)
+    assert build_smooth_set(PrimeField(3), 2) == (1, 2)
 
 
 def test_smooth_set_is_closed():

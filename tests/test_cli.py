@@ -115,6 +115,28 @@ def test_expsum_computes_pair_products_once(capsys, monkeypatch):
     assert calls == [211]
 
 
+def test_counts_past_the_int_to_str_limit_are_written_in_full(capsys):
+    # T = {1, 2, 3, 4} mod 5 has w = [0, 4, 4, 4, 4], so for even J the least
+    # count is c_J(1) = 4^J (4^J - 1) / 5: about 4,800 digits at J = 4000.
+    j = 4000
+    expected = 4**j * (4**j - 1) // 5
+    argv = ["expsum", "--p", "5", "--members", "1,2,3,4", "--J", str(j)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out = run_cli(capsys, *argv)
+    text_code, text = run_cli(capsys, *argv, "--format", "text")
+    assert (code, text_code) == (0, 0)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # the caller's limit is back
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)  # parsing the count needs the limit lifted here too
+    try:
+        covering = json.loads(out)["result"]["covering"]
+        assert (covering["min_count"], covering["min_residue"]) == (expected, 1)
+        assert f"result.covering.min_count: {expected}\n" in text
+        assert "result.covering.min_residue: 1\n" in text
+    finally:
+        set_limit(limit)
+
+
 def test_represent_runs_one_bfs(capsys, monkeypatch):
     from recipsums import represent
 
@@ -370,7 +392,7 @@ def test_reports_are_printed_as_their_dataclasses(capsys):
 
     result = run_json(capsys, "expsum", "--p", "101", "--grow", "--k", "1", "--beta", "1/4", "--auto-J")["result"]
     assert set(result["bilinear"]) == names(BilinearReport)
-    assert set(result["covering"]) == names(CoveringPositivity) - {"j"} | {"J"}
+    assert set(result["covering"]) == names(CoveringPositivity)
     steps = run_json(capsys, "grow", "--p", "1009", "--k", "1", "--beta", "1/4")["result"]["steps"]
     assert steps and all(set(step) == names(GrowthStep) for step in steps)
     argv = ["smoothset", "--p", "1009", "--bound", "7", "--epsilon", "1/2", "--theta", "1/3"]

@@ -149,6 +149,19 @@ def test_positivity_does_not_build_the_full_table(monkeypatch):
     assert (report.min_count, report.min_residue) == expected
 
 
+def test_positivity_takes_the_half_powers_where_the_fourier_check_applies(monkeypatch):
+    # Small enough that covering_counts would cross-check by Fourier inversion.
+    t = ResidueSet.from_members(PrimeField(101), [1, 2, 3, 5, 8, 13])
+    assert expsums._fourier_check_applicable(t.card, 3, 101)
+
+    def refuse(*args):
+        raise AssertionError("full covering table built")
+
+    monkeypatch.setattr(expsums, "covering_counts", refuse)
+    report = check_covering_positivity(t, 3)
+    assert (report.min_count, report.min_residue) == (96, 0) == oracle(t, 3)
+
+
 def _corrupted(kernel):
     def wrapped(*args):
         out = kernel(*args).copy()

@@ -11,7 +11,8 @@ address-space limit, so a p too large for memory fails the same way on any
 machine. The list is the 45 benchmark workload commands
 (``perfbench/workloads.generate`` for each workload and seeds 7, 101 and
 1000), the README examples, and commands that exercise report shapes,
-error paths, target reduction and the int64 ceiling. The tool prints every command whose
+error paths, target reduction, both covering routes, exact counts past
+4,300 digits and the int64 ceiling. The tool prints every command whose
 stdout SHA-256 or exit code differs between the checkouts, or whose
 stderr holds a Python traceback, and exits 1 if there is any.
 """
@@ -83,6 +84,9 @@ expsum --p 101 --J 2
 expsum --p 100003 --members 1,2,3,5,7 --min-J
 expsum --p 1009 --members 1,2,3 --min-J --min-J-cap 400
 expsum --p 10007 --random-size 150 --min-J --seed 3
+expsum --p 101 --members 1,2,3,5,8,13 --J 3
+expsum --p 1009 --members 1,2,4,8,16 --J 4
+expsum --p 5 --members 1,2,3,4 --J 4000
 """
 
 
