@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyBase, NonPositiveU
 from .field import PrimeField, require_dense
-from .intmath import pow_floor
+from .intmath import pow_floor, primes_between
 from .sets import ResidueSet
 
 
@@ -45,14 +45,7 @@ def compute_u(beta: Fraction, k: int) -> int:
 
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound in ascending order, by sieve of Eratosthenes."""
-    if bound < 2:
-        return []
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return [int(q) for q in np.flatnonzero(sieve)]
+    return primes_between(2, bound)
 
 
 @dataclass(frozen=True)

@@ -32,35 +32,24 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 # The one BLAS call (a length-p dot product in expsums) gains nothing from a
 # second thread, and OpenBLAS's idle worker costs every start CPU time. This
 # has to run before numpy's first import; a value the caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# Only the representation layer, which needs no numpy, is imported here; each
+# other subcommand imports its own layer when it runs, so --version,
+# represent, nmax and scan start without numpy.
 from . import __version__  # noqa: E402 - the package itself imports nothing heavy
-from .basesets import (
-    BaseSetSpec,
-    build_prime_reciprocal_set,
-    build_smooth_set,
-    check_multiplicative_conditions,
-    primes_up_to,
-)
-from .bruteforce import exhaustive_depth_table, exhaustive_min_terms
-from .errors import Error
-from .expsums import (
-    check_covering_positivity,
-    compute_J,
-    exp_sum_profile,
-    exponent_excess,
-    minimal_covering_J,
-    verify_bilinear_bound,
-)
-from .field import PrimeField, require_dense
-from .growth import GrowthConfig, grow_until, n_bound, term_budget
-from .intmath import pow_floor
-from .represent import ReprProblem, build_layer_table, min_terms, scan
-from .sets import ResidueSet
+from .errors import Error  # noqa: E402
+from .field import PrimeField, require_dense  # noqa: E402
+from .intmath import pow_floor, primes_between  # noqa: E402
+from .represent import ReprProblem, build_layer_table, min_terms, scan  # noqa: E402
+
+if TYPE_CHECKING:
+    from .sets import ResidueSet
 
 _ORACLE_PRIME_LIMIT = 100
 
@@ -197,8 +186,10 @@ def _cmd_represent(args) -> tuple[dict, dict]:
     problem = ReprProblem(PrimeField(args.p), args.k, args.epsilon)
     witness = min_terms(args.a, problem)
     result = {"target": witness.target, "N": witness.n, "witness": list(witness.xs)}
-    diagnostics: dict = {"H": problem.height, "base_size": build_layer_table(problem).generators.size}
+    diagnostics: dict = {"H": problem.height, "base_size": build_layer_table(problem).base_size}
     if args.oracle:
+        from .bruteforce import exhaustive_min_terms
+
         oracle_n, oracle_witness = exhaustive_min_terms(args.a, problem)
         if oracle_n != witness.n:
             raise Error(
@@ -211,10 +202,13 @@ def _cmd_represent(args) -> tuple[dict, dict]:
 
 def _cmd_nmax(args) -> tuple[dict, dict]:
     problem = ReprProblem(PrimeField(args.p), args.k, args.epsilon)
-    histogram = build_layer_table(problem).coverage  # write-locked int64, one entry per residue
-    result = {"n_max": int(histogram.max()), "histogram": histogram}
+    table = build_layer_table(problem)
+    histogram = table.coverage  # a read-only buffer, one entry per residue
+    result = {"n_max": table.depth, "histogram": histogram}
     diagnostics: dict = {"H": problem.height}
     if args.oracle:
+        from .bruteforce import exhaustive_depth_table
+
         if exhaustive_depth_table(problem) != histogram.tolist():
             raise Error("oracle disagreement: per-residue term counts differ")
         diagnostics["oracle_agrees"] = True
@@ -223,14 +217,17 @@ def _cmd_nmax(args) -> tuple[dict, dict]:
 
 def _cmd_scan(args) -> tuple[list[dict], dict]:
     lo, hi = args.primes
-    require_dense(hi)  # the sieve has length hi + 1
-    primes = [p for p in primes_up_to(hi) if p >= lo]
+    require_dense(hi)  # no prime above the ceiling has a distance table
+    primes = primes_between(lo, hi)
     rows = scan(primes, args.k, args.epsilon, workers=args.workers, timing=args.timing)
     diagnostics = {"prime_count": len(rows), "timing_suppressed": not args.timing}
     return rows, diagnostics
 
 
 def _cmd_grow(args) -> tuple[dict, dict]:
+    from .basesets import BaseSetSpec, build_prime_reciprocal_set
+    from .growth import GrowthConfig, grow_until, n_bound, term_budget
+
     field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     base, report = build_prime_reciprocal_set(spec)
@@ -263,6 +260,10 @@ def _cmd_grow(args) -> tuple[dict, dict]:
 
 
 def _build_expsum_set(args) -> tuple[ResidueSet, dict]:
+    from .basesets import BaseSetSpec, build_prime_reciprocal_set
+    from .growth import GrowthConfig, grow_until
+    from .sets import ResidueSet
+
     field = PrimeField(args.p)
     if args.members is not None:
         t = ResidueSet.from_members(field, args.members)
@@ -286,6 +287,15 @@ def _build_expsum_set(args) -> tuple[ResidueSet, dict]:
 
 
 def _cmd_expsum(args) -> tuple[dict, dict]:
+    from .expsums import (
+        check_covering_positivity,
+        compute_J,
+        exp_sum_profile,
+        exponent_excess,
+        minimal_covering_J,
+        verify_bilinear_bound,
+    )
+
     t, diagnostics = _build_expsum_set(args)
     profile = exp_sum_profile(t)
     bilinear = verify_bilinear_bound(profile)
@@ -310,6 +320,8 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
 
 
 def _cmd_baseset(args) -> tuple[dict, dict]:
+    from .basesets import BaseSetSpec, build_prime_reciprocal_set
+
     field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     members, report = build_prime_reciprocal_set(spec)
@@ -320,6 +332,8 @@ def _cmd_baseset(args) -> tuple[dict, dict]:
 
 
 def _cmd_smoothset(args) -> tuple[dict, dict]:
+    from .basesets import build_smooth_set, check_multiplicative_conditions
+
     field = PrimeField(args.p)
     smooth = build_smooth_set(field, args.bound)
     result: dict = {"bound": args.bound, "size": len(smooth)}

@@ -7,17 +7,21 @@ reciprocal powers come from one int64 square-and-multiply, exact up to
 DENSE_P_MAX, the dense-modulus ceiling that this module owns.
 A field builds its discrete-log tables on first use and keeps them for as
 long as it lives: there is no table cache shared across fields.
+numpy is imported by the two array methods only, so the representation
+layer, which uses neither, runs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotInvertible, NotPrime
 from .intmath import inv_mod, is_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Products of residues are taken in int64 (recip_powers, the dlog tables, the dense
 # kernels), exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
@@ -57,6 +61,8 @@ class PrimeField:
         (p - 1)**2 < 2**63 for p <= DENSE_P_MAX, the bound the discrete-log
         tables rely on too.
         """
+        import numpy as np
+
         p = self.p
         if k < 1:
             raise ValueError("power k must be >= 1")
@@ -85,6 +91,8 @@ class PrimeField:
         round, so O(log p) numpy passes; the int64 products are exact as
         (p - 1)^2 < 2^63 for every p <= DENSE_P_MAX.
         """
+        import numpy as np
+
         p = self.p
         g = primitive_root(p)
         powers = np.ones(1, dtype=np.int64)

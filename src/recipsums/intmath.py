@@ -7,7 +7,9 @@ with rational exponents are reduced to integer power comparisons.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress
 
 # Bases 2..37 give a deterministic Miller-Rabin verdict below
 # _MR_CERTIFIED_BELOW = 399165290221 * 798330580441, the smallest strong
@@ -82,3 +84,16 @@ def exceeds_power(value: int, base: int, exponent: Fraction) -> bool:
     if value < 0 or base < 0 or exponent <= 0:
         raise ValueError("exceeds_power requires nonnegative arguments")
     return value ** exponent.denominator > base ** exponent.numerator
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes q with lo <= q <= hi, ascending: a bytearray sieve of the
+    segment [lo, hi] alone, by the primes up to isqrt(hi), found the same way."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    segment = bytearray([1]) * (hi - lo + 1)
+    for q in primes_between(2, math.isqrt(hi)):
+        first = max(q * q, -(-lo // q) * q) - lo  # q's first multiple in the segment, above q
+        segment[first::q] = bytes(len(range(first, len(segment), q)))
+    return list(compress(range(lo, hi + 1), segment))

@@ -1,38 +1,47 @@
 """Minimal-length representations a = 1/x_1^k + ... + 1/x_N^k (mod p).
 
 Admissible bases are integers 1 <= x <= floor(p^epsilon) not divisible by
-p, and G is the set of their reciprocal k-th powers. Those come from one
-square-and-multiply over all bases at once, x^(-k mod (p - 1)) in int64,
-which is exact because every product of two residues is at most
-(p - 1)^2 < 2^63 below the dense-modulus ceiling. The minimal N of a
-residue r is its breadth-first distance from 0 in the Cayley digraph of
-Z/pZ with generators G (r = 0 itself needs at least one step). Every
-residue is reached within p steps because x = 1 is always admissible
-(a copies of 1 sum to a). Each BFS level runs one of three kernels, the
-one a cost model of the frontier size, the unreached count, H and p
-expects to be cheapest: a numpy push (all sums of a sparse frontier with
-G), a word-parallel shift (the frontier as a Python-int bitmap, shifted by
-each generator and OR-ed, stopping once every unreached residue is hit),
-or a blocked numpy pull (each unreached u probes u - g) when the base is
-too large for a shift pass. Consecutive shift levels stay in bit form and
-reach the distance table once, through bit planes. A witness is recovered
-by backtracking along the distances, one vectorised probe over all bases
-per term; ties resolve to the lexicographically smallest sequence. A
-problem computes its distance table on first use and keeps it for as long
-as it lives; nothing outlives the problem, so a batch of problems holds
-one table at a time.
+p, and G is the set of their reciprocal k-th powers. The inverses of all
+bases come from the recurrence inv(x) = -(p // x) * inv(p mod x) mod p,
+one step per base, and each is then raised to the k-th power. The minimal
+N of a residue r is its breadth-first distance from 0 in the Cayley
+digraph of Z/pZ with generators G (r = 0 itself needs at least one step).
+Every residue is reached within p steps because x = 1 is always admissible
+(a copies of 1 sum to a).
+
+The module is plain Python and imports no numpy. Each BFS level runs one
+of three kernels, the one a cost model of the frontier size, the unreached
+count, |G| and p expects to be cheapest:
+- push: every sum of a small frontier, held as a list, with G, checked
+  against a bytearray that flags the residues reached so far;
+- shift: the frontier as a Python-int bitmap, shifted by each generator and
+  OR-ed, stopping once every unreached residue is hit, or handing the few
+  it has not hit to the pull;
+- pull: each unreached u probes u - g in a bit-packed copy of the
+  frontier, generator by generator, and stops at its first hit; past a
+  budget of probes it tests all of u - G at once, as one shifted bitmap.
+The shift and the pull keep their levels as bit planes of the level
+numbers; the push's levels join the planes, or go to a uint32 array in a
+deep BFS. The distance array is put together from the two on first use,
+in the narrowest unsigned type that holds the depth, so a scan, which needs
+only the depth and |G|, never builds it. A witness is recovered by
+backtracking along the distances; ties resolve to the lexicographically
+smallest sequence. A problem computes its table on first use and keeps it
+for as long as it lives; nothing outlives the problem, so a batch of
+problems holds one table at a time.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from itertools import compress, repeat
 
 from .errors import Error
 from .field import PrimeField, require_dense
@@ -66,12 +75,18 @@ class ReprProblem:
         return range(1, min(self.height, self.field.p - 1) + 1)
 
     @cached_property
-    def reciprocals(self) -> np.ndarray:
-        """1/x^k mod p for each admissible x, in the same order (write-locked int64)."""
-        bases = self.admissible
-        recips = self.field.recip_powers(np.arange(bases.start, bases.stop, dtype=np.int64), self.k)
-        recips.setflags(write=False)
-        return recips
+    def reciprocals(self) -> tuple[int, ...]:
+        """1/x^k mod p for each admissible x, in the same order. The bases are
+        1..h with h < p, so p = (p // x) x + p mod x with 0 < p mod x < x
+        gives 1/x = -(p // x) / (p mod x): each inverse from a smaller one."""
+        p, h = self.field.p, len(self.admissible)
+        inv = [0] * (h + 1)
+        inv[1] = 1
+        for x in range(2, h + 1):
+            inv[x] = -(p // x) * inv[p % x] % p
+        del inv[0]
+        e = self.k % (p - 1)  # x^(p-1) = 1
+        return tuple(inv) if e == 1 else tuple(map(pow, inv, repeat(e), repeat(p)))
 
     @cached_property
     def layer_table(self) -> "LayerTable":
@@ -110,12 +125,45 @@ def check_representation(xs, target_value: int, problem: ReprProblem) -> bool:
     return total == target_value % p
 
 
-@dataclass(frozen=True)
 class LayerTable:
-    """Minimal term count of every residue, as BFS distances from 0."""
+    """Minimal term counts of a problem, as BFS distances from 0.
 
-    generators: np.ndarray  # G = {1/x^k mod p : x admissible}, ascending (write-locked int64)
-    coverage: np.ndarray  # coverage[r] = minimal N >= 1 with r a sum of N terms
+    base_size is |G| and depth the largest count, n_max. generators (G
+    ascending, read off level 1) and coverage are read-only buffers put
+    together from the BFS record on first use: coverage[r] is the minimal
+    N >= 1 with r a sum of N terms, in the narrowest of B, H and I that
+    holds the depth."""
+
+    def __init__(self, depth: int, levels: array | None, planes: list[int], level_one: int, p: int):
+        self.depth, self.base_size = depth, level_one.bit_count()
+        self._levels, self._planes, self._level_one, self._p = levels, planes, level_one, p
+
+    @cached_property
+    def generators(self) -> memoryview:
+        return memoryview(array("I", _members(self._level_one, self._p))).toreadonly()
+
+    @cached_property
+    def coverage(self) -> memoryview:
+        p, width = self._p, 1 if self.depth < 1 << 8 else 2 if self.depth < 1 << 16 else 4
+        parts = []
+        if self._levels is not None:  # the levels written by the push, narrowed to width bytes
+            if sys.byteorder == "big":
+                self._levels.byteswap()
+            raw = self._levels.tobytes()
+            parts.append(_interleave([raw[j::4] for j in range(width)], p))
+        if any(self._planes):
+            planes = self._planes + [0] * (8 * width - len(self._planes))
+            parts.append(_interleave([_transpose(planes[8 * j : 8 * j + 8], p) for j in range(width)], p))
+        lanes = parts[0] if len(parts) == 1 else (
+            int.from_bytes(parts[0], "little") | int.from_bytes(parts[1], "little")
+        ).to_bytes(width * p, "little")
+        fmt = "BHI"[width.bit_length() - 1]
+        if sys.byteorder == "big":  # the lanes are little-endian
+            swapped = array(fmt, lanes)
+            swapped.byteswap()
+            lanes = swapped.tobytes()
+        self._levels = self._planes = None
+        return memoryview(lanes).cast(fmt)
 
 
 def build_layer_table(problem: ReprProblem) -> LayerTable:
@@ -127,107 +175,219 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
     """BFS from 0 over the generators G: level j+1 is (level j + G) minus
     the residues already reached. The residue 0 starts unreached, so it gets
     its minimal positive count; level 1 is G itself, as 0 is not in G.
-    coverage is the only length-p array the table keeps, and it is allocated
-    first, so a p too large for memory fails before any other is built; G is
-    read off its level 1, ascending and without repeats.
-    Each later level runs the kernel that _kernel_chooser expects to be
-    cheapest. The push and the pull hold the frontier as an index array and
-    write each level into coverage at once. The shift holds the frontier
-    and the unreached set as Python-int bitmaps from level to level; its
-    levels reach coverage as bit planes, once, when the BFS leaves bit form.
-    The planes are about log2(depth) ints of p bits, so memory stays O(p)."""
+    The level array is the first length-p array, so a p too large for
+    memory fails before any other is built.
+    The BFS is in one of two forms, level 1 in both. In bit form the
+    frontier and the unreached residues are Python-int bitmaps (bit r for
+    residue r); the shift and the pull run there, and their levels go into
+    bit planes: planes[b] holds the residues whose level has bit b set,
+    about log2(depth) ints of p bits. In index form the frontier is a list
+    and the reached residues are flagged one byte each; the push runs there.
+    Its levels are held as lists while they are few and short (_HELD), and
+    join the planes when the BFS leaves index form or ends; past that they
+    are written to the uint32 level array, as in a deep BFS. Changing form
+    costs a conversion of O(p) bytes in C plus a Python step per held or
+    frontier residue, never a Python step per residue of Z/pZ."""
     p = problem.field.p
-    coverage = np.zeros(p, dtype=np.int64)
-    coverage[problem.reciprocals] = 1
-    gens = np.flatnonzero(coverage == 1)
-    gens.setflags(write=False)
-    gen_list: list[int] = []  # gens as Python ints, made for the first shift level
-    frontier = gens  # None while the BFS is in bit form
-    front = unreached = 0  # bit form: bit r stands for residue r
-    planes: list[int] = []  # planes[b]: residues of bit-form levels with bit b of the level set
-    choose = _kernel_chooser(gens.size, p)
-    size, remaining, level = gens.size, p - gens.size, 1
+    try:
+        levels = array("I", [0]) * p
+    except MemoryError:  # in numpy's words for an allocation it cannot make
+        message = f"Unable to allocate {4 * p / 2**30:.1f} GiB for an array with shape ({p},) and data type uint32"
+        raise MemoryError(message) from None
+    gens, front, flags = _level_one(problem.reciprocals, p)
+    base, h, mask = _Base(gens, front, p), front.bit_count(), (1 << p) - 1
+    frontier, unreached = gens, mask ^ front
+    in_bits = in_index = True
+    planes = [front]
+    held: list[tuple[int, list[int]]] | None = []  # None once the push writes to levels
+    written = False
+    choose = _kernel_chooser(h, p)
+    size, remaining, level = h, p - h, 1
     while remaining:
         level += 1
-        kernel = choose(size, remaining, frontier is None)
-        if kernel is _shift:
-            if frontier is not None:
-                front, unreached = _to_bits(coverage == level - 1), _to_bits(coverage == 0)
-                frontier, gen_list = None, gen_list or gens.tolist()
-            front = _shift(front, unreached, gen_list, p, size, remaining)
-            unreached ^= front
-            size = front.bit_count()
-            planes += [0] * (level.bit_length() - len(planes))
-            for b in range(level.bit_length()):
-                if level >> b & 1:
-                    planes[b] |= front
+        kernel = choose(size, remaining, in_bits, in_index)
+        if kernel is _push:
+            if not in_index:
+                frontier, flags, held = _members(front, p), _flags(mask ^ unreached, p), []
+            frontier = _push(frontier, base, flags)
+            size, in_bits, in_index = len(frontier), False, True
+            if held is not None:
+                held.append((level, frontier))
+                if len(held) > _HELD[0] or sum(len(residues) for _, residues in held) > p >> _HELD[1]:
+                    for held_level, residues in held:
+                        for s in residues:
+                            levels[s] = held_level
+                    held, written = None, True
+            else:
+                for s in frontier:
+                    levels[s] = level
         else:
-            if frontier is None:
-                _write_planes(coverage, planes)
-                planes, frontier = [], np.flatnonzero(_from_bits(front, p))
-            frontier = kernel(frontier, gens, coverage)
-            coverage[frontier] = level
-            size = frontier.size
+            if not in_bits:
+                front = _bits(frontier, p)
+                if held is None:
+                    unreached = int(flags.translate(_ZERO_TO_ONE)[::-1], 2)
+                else:
+                    unreached ^= _hold(planes, held, p)
+            front = kernel(front, unreached, base, size, remaining)
+            unreached ^= front
+            size, in_bits, in_index = front.bit_count(), True, False
+            frontier = flags = None
+            _record(planes, level, front)
         if not size:  # pragma: no cover - 1 is a generator, so no level is empty
             raise RuntimeError(f"BFS stalled with {remaining} residues unreached")
         remaining -= size
-    _write_planes(coverage, planes)
-    coverage.setflags(write=False)
-    return LayerTable(generators=gens, coverage=coverage)
+    if in_index and held:
+        _hold(planes, held, p)
+    return LayerTable(level, levels if written else None, planes, base.bits, p)
 
 
-# Cost model of one BFS level, in nanoseconds, fitted to per-level timings of
-# each kernel on the tools/bench_bfs.py ladder (2 vCPUs, Python 3.11, numpy 2.4).
-_PUSH_NS = (12_000, 25)  # fixed; per sum of a frontier residue and a generator
-_PULL_NS = (10_000, 6, 30)  # fixed; per residue of Z/pZ; per probe of an unreached residue
-_SHIFT_NS = (300, 0.068)  # per generator: fixed; per residue of Z/pZ
-_SWITCH_NS = (10_000, 2)  # between index and bit form: fixed; per residue of Z/pZ
-_PUSH_SUMS_PER_RESIDUE = 4  # a push holds at most 4p sums, so its temporaries stay O(p)
-# The shift is priced at its expected early stop only while a pass through
-# all generators would cost at most this many times the cheaper index kernel.
-_SHIFT_RISK = 4
+# Push levels are held as lists while there are at most _HELD[0] of them with
+# at most p >> _HELD[1] residues in all: each costs O(p / 8) bytes to join
+# the planes, and each held residue a Python step.
+_HELD = (8, 4)
+
+
+def _record(planes: list[int], level: int, bits: int) -> None:
+    """Add a level, given as a bitmap, to the bit planes."""
+    planes += [0] * (level.bit_length() - len(planes))
+    for b in range(level.bit_length()):
+        if level >> b & 1:
+            planes[b] |= bits
+
+
+def _hold(planes: list[int], held: list[tuple[int, list[int]]], p: int) -> int:
+    """Add held push levels to the bit planes; return the bitmap of their residues."""
+    union = 0
+    for level, residues in held:
+        bits = _bits(residues, p)
+        _record(planes, level, bits)
+        union |= bits
+    return union
+
+
+def _level_one(recips: tuple[int, ...], p: int) -> tuple[list[int] | tuple[int, ...], int, bytearray]:
+    """The generators as the kernels run through them, the bitmap of G and
+    its flags, one byte per residue. A few bases are sorted into G ascending.
+    Many are flagged, and C code reads the flags as binary digits; the
+    kernels then run through the reciprocals in the order of their bases,
+    where a residue that several bases share repeats, as sorting them would
+    cost more than the repeats do."""
+    flags = bytearray(p)
+    if 16 * len(recips) < p:
+        gens = sorted(set(recips))
+        for g in gens:
+            flags[g] = 1
+        return gens, _bits(gens, p), flags
+    for r in recips:
+        flags[r] = 1
+    return recips, int(flags.translate(_ONE_TO_ONE)[::-1], 2), flags
+
+
+class _Base:
+    """G as the kernels read it: the generators in the order they run through
+    them, its bitmap and, made on first use, the bitmap of -G."""
+
+    def __init__(self, gens: list[int] | tuple[int, ...], bits: int, p: int):
+        self.gens, self.bits, self.p = gens, bits, p
+
+    @cached_property
+    def negated(self) -> int:
+        """G's bits reversed, bit g to bit p - 1 - g, then shifted to p - g."""
+        return int(bin(self.bits)[:1:-1].ljust(self.p, "0"), 2) << 1
+
+
+# A 0/1 flag as the binary digit it stands for, or as the digit of its complement.
+_ONE_TO_ONE = bytes.maketrans(b"\x00\x01", b"01")
+_ZERO_TO_ONE = bytes.maketrans(b"\x00\x01", b"10")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO = bytes([0] + [1] * 255)  # a byte as whether it is nonzero
+
+
+def _bits(residues, p: int) -> int:
+    """The bitmap of some residues: bit r stands for residue r."""
+    packed = bytearray((p + 7) >> 3)
+    for r in residues:
+        packed[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _members(bits: int, p: int) -> list[int]:
+    """The residues of a bitmap, ascending. C code lists the flags of a dense
+    bitmap, or finds the nonzero bytes of a sparse one."""
+    if bits.bit_count() > p >> 5:
+        return list(compress(range(p), _flags(bits, p)))
+    packed = bits.to_bytes((p + 7) >> 3, "little")
+    nonzero = packed.translate(_NONZERO)
+    out: list[int] = []
+    i = nonzero.find(1)
+    while i >= 0:
+        byte, r = packed[i], i << 3
+        while byte:
+            low = byte & -byte
+            out.append(r + low.bit_length() - 1)
+            byte ^= low
+        i = nonzero.find(1, i + 1)
+    return out
+
+
+def _flags(bits: int, p: int) -> bytearray:
+    """The flags of a bitmap, one byte per residue, from its binary digits."""
+    return bytearray(bin(bits)[:1:-1], "ascii").ljust(p, b"0").translate(_FROM_DIGITS)
+
+
+# Cost model of one BFS level, in nanoseconds, fitted to timings of each kernel
+# at p = 10^3 to 10^6 and checked on the tools/bench_bfs.py ladder (2 shared
+# vCPUs, Python 3.11).
+_PUSH_NS = (1_500, 70, 60)  # fixed; per sum of a frontier residue and a generator; per residue reached
+_PROBE_NS = 170  # per probe of the pull
+_SHIFT_NS = (100, 0.044)  # per generator: fixed; per residue of Z/pZ
+_LIST_NS = 200  # per residue listed from a bitmap, or held as a list
+_TO_BITS_NS = (3_000, 1)  # index form to bit form: fixed; per residue of Z/pZ
+_TO_INDEX_NS = (3_000, 2)  # bit form to index form: fixed; per residue of Z/pZ
+# A pull tests a residue against all of u - G at once, which costs about
+# this many generators' shift passes, after probing as many generators as
+# that test costs.
+_TEST_STEPS = 3
 
 
 def _kernel_chooser(h: int, p: int):
-    """A function (size, remaining, in_bits) -> the kernel expected to expand a
-    frontier of size residues fastest, with remaining residues unreached, h
-    generators and the frontier in bit form or not.
+    """A function (size, remaining, in_bits, in_index) -> the kernel expected
+    to expand a frontier of size residues fastest, with remaining residues
+    unreached, h generators and the frontier in bit form, index form or both.
 
-    The push costs one sum per frontier residue and generator. The pull
-    probes each unreached u against u - g, generator by generator, until a
-    probe hits the frontier: about p / size probes each, never more than h.
-    The shift costs one pass over a p-bit int per generator. It stops early
-    only on a level that reaches every residue left, and a residue that needs
-    one more term (0, say, when no two generators sum to it) makes it run
-    through all h; so it is priced at its expected stop only where that
-    worst case costs at most _SHIFT_RISK times the cheaper index kernel.
-    Changing between index and bit form costs O(p)."""
+    The push costs one sum per frontier residue and generator, and a write
+    per residue it reaches. The pull
+    lists the unreached residues and probes each against u - g, generator by
+    generator, until a probe hits the frontier: about p / size probes each,
+    never more than h, and never more than its budget (see _pull). The shift
+    costs one pass over a p-bit int per generator and stops, at the
+    earliest, once every residue left can be expected hit (_expected_stop);
+    a residue that needs one more term (0, say, when no two generators sum
+    to it) would make it run through all h, so the residues it has not hit
+    by then are pulled when they are few (see _shift). Changing form costs a
+    conversion in C, linear in p, plus a Python step per frontier residue."""
     step = _SHIFT_NS[0] + _SHIFT_NS[1] * p
-    switch = _SWITCH_NS[0] + _SWITCH_NS[1] * p
-    max_sums = _PUSH_SUMS_PER_RESIDUE * p
-    # Below this many sums a push costs less than any pull and any shift
-    # from index form can, which settles the many small levels of a deep BFS
-    # without the full comparison.
-    floor = min(_PULL_NS[0] + _PULL_NS[1] * p, 4 * step + switch)
-    cheap_sums = (floor - _PUSH_NS[0]) / _PUSH_NS[1]
+    to_bits = _TO_BITS_NS[0] + _TO_BITS_NS[1] * p
+    to_index = _TO_INDEX_NS[0] + _TO_INDEX_NS[1] * p
+    budget = _TEST_STEPS * step / _PROBE_NS
+    # Below this many sums a push costs less than any shift can, which
+    # settles the many small levels of a deep BFS without the full comparison.
+    cheap_sums = (4 * step - _PUSH_NS[0]) / _PUSH_NS[1]
 
-    def choose(size: int, remaining: int, in_bits: bool):
+    def choose(size: int, remaining: int, in_bits: bool, in_index: bool):
         sums = size * h
-        if sums <= cheap_sums and not in_bits:
+        if sums <= cheap_sums and in_index:
             return _push
-        push = _PUSH_NS[0] + _PUSH_NS[1] * sums if sums <= max_sums else math.inf
-        pull = _PULL_NS[0] + _PULL_NS[1] * p + _PULL_NS[2] * remaining * min(h, p / size)
-        shift = (h + 3) * step
-        if in_bits:
-            push, pull = push + switch, pull + switch
-        else:
-            shift += switch
-        index = min(push, pull)
-        if shift > index and shift <= _SHIFT_RISK * index:
-            shift = (min(h, _expected_stop(size, remaining, p)) + 3) * step
-        if shift <= index:
-            return _shift
-        return _push if push <= pull else _pull
+        # A sum hits each unreached residue with probability about 1 / p.
+        push = _PUSH_NS[0] + _PUSH_NS[1] * sums - _PUSH_NS[2] * remaining * math.expm1(-sums / p)
+        shift = (min(h, _expected_stop(size, remaining, p)) + 3) * step
+        pull = (_LIST_NS + _PROBE_NS * min(h, p / size, budget)) * remaining
+        if not in_index:
+            push += to_index + _LIST_NS * size
+        if not in_bits:
+            shift, pull = shift + to_bits + _LIST_NS * size, pull + to_bits + _LIST_NS * size
+        best = min(push, shift, pull)
+        return _push if push == best else _shift if shift == best else _pull
 
     return choose
 
@@ -241,77 +401,95 @@ def _expected_stop(size: int, remaining: int, p: int) -> int:
     return max(1, math.ceil(math.log(remaining) / -math.log1p(-size / p)))
 
 
-def _push(frontier: np.ndarray, gens: np.ndarray, coverage: np.ndarray) -> np.ndarray:
-    """The next level from all sums of the frontier with G."""
-    p = coverage.size
-    sums = (frontier[:, None] + gens).ravel()
-    np.subtract(sums, p, out=sums, where=sums >= p)
-    sums = sums[coverage[sums] == 0]
-    # Deduplicate without sorting: tag each sum's slot in coverage,
-    # and keep the one occurrence per residue whose tag survived.
-    tags = np.arange(-1, -1 - sums.size, -1)
-    coverage[sums] = tags
-    return sums[coverage[sums] == tags]
+def _push(frontier, base: _Base, flags: bytearray) -> list[int]:
+    """The next level in index form: every sum of a frontier residue and a
+    generator not reached before, flagged as reached."""
+    p, new = base.p, []
+    for r in frontier:
+        r -= p
+        for g in base.gens:
+            s = r + g  # in (-p, p - 1): a negative index wraps to s + p
+            if not flags[s]:
+                flags[s] = 1
+                new.append(s % p)
+    return new
 
 
-def _pull(frontier: np.ndarray, gens: np.ndarray, coverage: np.ndarray) -> np.ndarray:
-    """The next level as each unreached u with u - g in the frontier for some g."""
-    p = coverage.size
-    back = p - gens  # u - g taken as u + (p - g) in a doubled frontier bitmap
-    in_frontier = np.zeros(2 * p, dtype=bool)
-    in_frontier[frontier] = True
-    in_frontier[frontier + p] = True
-    pending = np.flatnonzero(coverage == 0)
-    hits, i = [], 0
-    while pending.size and i < back.size:
-        width = max(1, p // pending.size)  # at most about p probes at once
-        hit = in_frontier[pending[:, None] + back[i : i + width]].any(axis=1)
-        hits.append(pending[hit])
-        pending = pending[~hit]
-        i += width
-    return np.concatenate(hits)
-
-
-def _shift(front: int, unreached: int, gens: list[int], p: int, size: int, remaining: int) -> int:
+def _shift(front: int, unreached: int, base: _Base, size: int, remaining: int) -> int:
     """The next level in bit form: the OR of front << g over G, with bit r + p
     folded onto bit r, restricted to the unreached bits. The pass checks
     whether every unreached residue is hit, and so whether it can stop, first
-    after the expected number of generators, then at doubling intervals."""
+    after the expected number of generators, then at doubling intervals. At
+    each check, once pulling the residues not yet hit costs less than the
+    passes left, the pull finishes them from the next generator on."""
+    p, gens = base.p, base.gens
     mask = (1 << p) - 1
-    acc, start, stop, step = 0, 0, _expected_stop(size, remaining, p), 4
+    acc, start, stop, interval = 0, 0, _expected_stop(size, remaining, p), 4
     while True:
         for g in gens[start:stop]:
             acc |= front << g
         hit = ((acc >> p) | (acc & mask)) & unreached
         if stop >= len(gens) or hit == unreached:
             return hit
-        start, stop, step = stop, stop + step, 2 * step
+        left = unreached ^ hit
+        if 2 * _TEST_STEPS * left.bit_count() < len(gens) - stop:
+            return hit | _pull(front, left, base, size, remaining, stop)
+        start, stop, interval = stop, stop + interval, 2 * interval
 
 
-def _to_bits(indicator: np.ndarray) -> int:
-    """A bool vector as an int whose bit r is indicator[r]."""
-    return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(), "little")
+def _pull(front: int, unreached: int, base: _Base, size: int, remaining: int, start: int = 0) -> int:
+    """The next level in bit form: each unreached u with u - g in the frontier
+    for some g of G, probing generator by generator from gens[start] up to
+    the first hit. The frontier is doubled, so that bit u + p - g stands for
+    u - g mod p. A residue that has probed as many generators as a shift pass
+    over _TEST_STEPS generators costs is tested against all of u - G at once:
+    the bitmap of -G shifted by u, with bit u + p - g folded onto u - g."""
+    p, gens = base.p, base.gens
+    budget = int(_TEST_STEPS * (_SHIFT_NS[0] + _SHIFT_NS[1] * p) / _PROBE_NS)
+    doubled = (front << p | front).to_bytes((2 * p + 7) >> 3, "little")
+    probes = gens[start : start + budget]
+    hits = []
+    for u in _members(unreached, p):
+        for g in probes:
+            x = u + p - g
+            if doubled[x >> 3] >> (x & 7) & 1:
+                hits.append(u)
+                break
+        else:
+            if len(gens) - start > budget:
+                shifted = base.negated << u
+                if (shifted | shifted >> p) & front:
+                    hits.append(u)
+    return _bits(hits, p)
 
 
-def _from_bits(bits: int, p: int) -> np.ndarray:
-    """The 0/1 uint8 vector of length p whose entry r is bit r of bits."""
-    raw = np.frombuffer(bits.to_bytes((p + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=p, bitorder="little")
+def _transpose(planes: list[int], p: int) -> bytes:
+    """Byte r = the sum of (bit r of planes[b]) << b over the eight planes:
+    each 8 x 8 block of bits (eight residues of eight planes) is transposed
+    in one 64-bit word of a big int, by three delta swaps."""
+    n = (p + 7) >> 3
+    words = bytearray(8 * n)
+    for b, plane in enumerate(planes):
+        words[b::8] = plane.to_bytes(n, "little")
+    x = int.from_bytes(words, "little")
+    for shift, word in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
+        mask, width = word, 64
+        while width < 64 * n:  # word repeated in every 64-bit slot
+            mask |= mask << width
+            width *= 2
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x.to_bytes(8 * n, "little")[:p]
 
 
-def _write_planes(coverage: np.ndarray, planes: list[int]) -> None:
-    """Add the levels held as bit planes to coverage, where they are still 0.
-    The planes are summed in the narrowest unsigned dtype first, so that
-    coverage is read and written once; depth < p < 2**32 keeps it uint32
-    at most, which adds to int64 exactly."""
-    if not planes:
-        return
-    weight = np.min_scalar_type((1 << len(planes)) - 1).type
-    levels = _from_bits(planes[0], coverage.size).astype(weight, copy=False)
-    for b, plane in enumerate(planes[1:], 1):
-        if plane:
-            levels += _from_bits(plane, coverage.size) * weight(1 << b)
-    coverage += levels
+def _interleave(columns: list[bytes], p: int) -> bytes:
+    """Lanes of len(columns) bytes: byte j of lane r is columns[j][r]."""
+    if len(columns) == 1:
+        return columns[0]
+    lanes = bytearray(len(columns) * p)
+    for j, column in enumerate(columns):
+        lanes[j :: len(columns)] = column
+    return bytes(lanes)
 
 
 def min_terms(a: int, problem: ReprProblem) -> Witness:
@@ -320,26 +498,26 @@ def min_terms(a: int, problem: ReprProblem) -> Witness:
     target = int(a) % p
     coverage = build_layer_table(problem).coverage
     bases, recips = problem.admissible, problem.reciprocals
-    n = int(coverage[target])
+    n = coverage[target]
     xs: list[int] = []
     t = target
     # Bases ascend, so the first hit of each probe is the smallest x, which
-    # makes the witness the lexicographically smallest.
-    for j in range(n, 1, -1):
-        hit = coverage[(t - recips) % p] == j - 1
-        i = int(hit.argmax())
-        if not hit[i]:  # pragma: no cover - table guarantees a predecessor
+    # makes the witness the lexicographically smallest. t - r > -p, so a
+    # negative index wraps to t - r + p.
+    for j in range(n - 1, 0, -1):
+        i = next((i for i, r in enumerate(recips) if coverage[t - r] == j), None)
+        if i is None:  # pragma: no cover - table guarantees a predecessor
             raise RuntimeError("backtracking found no predecessor; table corrupt")
         xs.append(bases[i])
-        t = (t - int(recips[i])) % p
-    xs.append(bases[int((recips == t).argmax())])
+        t = (t - recips[i]) % p
+    xs.append(bases[recips.index(t)])
     return Witness(problem=problem, target=target, xs=tuple(xs))
 
 
 def n_max(problem: ReprProblem) -> tuple[int, list[int]]:
     """Largest minimal term count over all residues, plus the full per-residue table."""
     table = build_layer_table(problem)
-    return int(table.coverage.max()), table.coverage.tolist()
+    return table.depth, table.coverage.tolist()
 
 
 def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
@@ -358,9 +536,9 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
         problem = ReprProblem(PrimeField(p), k, epsilon)
         table = build_layer_table(problem)
         row["H"] = problem.height
-        row["base_size"] = table.generators.size
+        row["base_size"] = table.base_size
         # max_layer is kept for CSV format stability: the deepest BFS level is n_max.
-        row["n_max"] = row["max_layer"] = int(table.coverage.max())
+        row["n_max"] = row["max_layer"] = table.depth
     except Error as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     if timing:

@@ -58,7 +58,7 @@ def witness_grid():
             for eps in EPS_GRID:
                 problem = ReprProblem(field, k, eps)
                 table = build_layer_table(problem)
-                nmax_map[(p, k, eps)] = int(table.coverage.max())
+                nmax_map[(p, k, eps)] = max(table.coverage)
                 for a in range(p):
                     w = min_terms(a, problem)
                     witnesses += 1

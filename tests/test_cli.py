@@ -356,7 +356,11 @@ def test_dense_ceiling_exit_1(capsys, command):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS and ru_maxrss in kB")
 @pytest.mark.parametrize(
     "command",
-    ["represent --p 3037000493 --k 1 --epsilon 1/3 --a 5", "nmax --p 3037000493 --k 2 --epsilon 1/4"],
+    [
+        "represent --p 3037000493 --k 1 --epsilon 1/3 --a 5",
+        "nmax --p 3037000493 --k 2 --epsilon 1/4",
+        "scan --primes 3037000400..3037000500 --k 1 --epsilon 1/8",
+    ],
 )
 def test_largest_dense_prime_fails_before_touching_memory(command, tmp_path):
     """The BFS distance array of the largest prime under the ceiling needs
@@ -498,6 +502,34 @@ def test_import_recipsums_leaves_numpy_unloaded():
         "print(all(getattr(recipsums, n) is globals()[n] for n in recipsums.__all__))"
     )
     assert out.split() == ["False", "True"]
+
+
+def test_representation_commands_start_without_numpy():
+    """--version, represent, nmax and scan import only the representation
+    layer: no numpy, and none of the layers of the other subcommands; the
+    exhaustive oracle only under --oracle. grow still loads numpy."""
+    out = _fresh_python(
+        "import os, sys\n"
+        "from recipsums.cli import main\n"
+        "null = open(os.devnull, 'w')\n"
+        "sys.stdout = null\n"
+        "codes = [main(argv.split()) for argv in (\n"
+        "    '--version',\n"
+        "    'represent --p 1009 --k 2 --epsilon 1/2 --a 5',\n"
+        "    'nmax --p 1009 --k 1 --epsilon 1/3',\n"
+        "    'scan --primes 2..200 --k 2 --epsilon 1/2 --workers 1',\n"
+        "    'scan --primes 2..200 --k 2 --epsilon 1/2 --workers 2',\n"
+        ")]\n"
+        "layers = ('numpy', 'recipsums.basesets', 'recipsums.growth', 'recipsums.expsums',\n"
+        "          'recipsums.sets', 'recipsums.convolve', 'recipsums.bruteforce')\n"
+        "loaded = [name for name in layers if name in sys.modules]\n"
+        "main('represent --p 97 --k 2 --epsilon 1/2 --a 13 --oracle'.split())\n"
+        "oracle = 'recipsums.bruteforce' in sys.modules and 'numpy' not in sys.modules\n"
+        "main('grow --p 1009 --k 1 --beta 1/4'.split())\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(codes, loaded, oracle, 'numpy' in sys.modules)"
+    )
+    assert out == "[0, 0, 0, 0, 0] [] True True"
 
 
 def test_cli_sets_one_blas_thread_unless_told_otherwise():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from recipsums.intmath import (
     is_prime,
     nth_root_floor,
     pow_floor,
+    primes_between,
 )
 
 
@@ -84,3 +86,17 @@ def test_exceeds_power_boundary():
     # 21^3 = 9261 < 101^2 = 10201 < 22^3 = 10648
     assert not exceeds_power(21, 101, Fraction(2, 3))
     assert exceeds_power(22, 101, Fraction(2, 3))
+
+
+def test_primes_between_sieves_only_the_window():
+    for lo in range(-2, 60):
+        for hi in range(lo - 1, 80):
+            assert primes_between(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
+    assert primes_between(2, 10_000) == [n for n in range(10_001) if is_prime(n)]
+    # The window just below the dense ceiling: base primes up to 55109 and a
+    # 101-byte segment, where a sieve of all of [0, hi] would need 3 GB.
+    start = time.perf_counter()
+    window = primes_between(3_037_000_400, 3_037_000_500)
+    assert time.perf_counter() - start < 2
+    assert window == [n for n in range(3_037_000_400, 3_037_000_501) if is_prime(n)]
+    assert window == [3037000427, 3037000429, 3037000453, 3037000493]

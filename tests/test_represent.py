@@ -56,7 +56,7 @@ def minimal_layer_counts(pr):
     while True:
         counts[layer.bits & (counts == 0)] = j
         if counts.all():
-            return counts
+            return counts.tolist()
         layer, j = sumset(layer, base), j + 1
 
 
@@ -95,11 +95,12 @@ def test_base_reciprocals_examples():
 )
 def test_generators_are_level_one_of_the_distance_array(p, k, epsilon):
     pr = problem(p, k, epsilon)
-    gens = build_layer_table(pr).generators
-    assert gens.tolist() == sorted(set(pr.reciprocals.tolist()))
-    assert gens.dtype == np.int64 and not gens.flags.writeable
+    table = build_layer_table(pr)
+    gens = table.generators
+    assert gens.tolist() == sorted(set(pr.reciprocals)) == [r for r, n in enumerate(table.coverage) if n == 1]
+    assert gens.readonly and table.base_size == len(gens)
     if k == 2 and epsilon == 1:  # x and p - x share 1/x^2, so G has half as many residues
-        assert 2 * gens.size == pr.reciprocals.size
+        assert 2 * len(gens) == len(pr.reciprocals)
 
 
 def test_min_terms_single_term():
@@ -163,7 +164,7 @@ def test_coverage_matches_exact_layers_near_10k(k, epsilon):
     p = rng.choice([q for q in primes_up_to(10_500) if q >= 9_500])
     pr = problem(p, k, epsilon)
     table = build_layer_table(pr)
-    assert np.array_equal(table.coverage, minimal_layer_counts(pr))
+    assert table.coverage.tolist() == minimal_layer_counts(pr)
     for a in rng.sample(range(p), 20):
         w = min_terms(a, pr)
         assert w.n == table.coverage[a] and check_representation(w.xs, w.target, pr)
@@ -177,11 +178,10 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
             for eps in [Fraction(1, 3), Fraction(1, 2), Fraction(1, 1)]:
                 pr = problem(p, k, eps)
                 assert tuple(pr.admissible) == tuple(x for x in range(1, pr.height + 1) if x % p)
-                assert pr.reciprocals.dtype == np.int64
-                assert not pr.reciprocals.flags.writeable
-                assert pr.reciprocals.tolist() == [pr.field.recip_power(x, k) for x in pr.admissible]
+                assert type(pr.reciprocals) is tuple  # immutable, and plain ints
+                assert pr.reciprocals == tuple(pr.field.recip_power(x, k) for x in pr.admissible)
 
-    # The int64 ceiling: (p - 1)**2 < 2**63 with p = 3037000493, and no length-p array.
+    # The dense ceiling: p = 3037000493, and no length-p list.
     p = 3_037_000_493
     for k in [1, 2, 3, p - 1, p, 2 * (p - 1)]:
         pr = problem(p, k, Fraction(1, 3))
@@ -189,8 +189,8 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
         recips = pr.reciprocals
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert recips.size == pr.height == 1448 and peak < 1 << 20
-        assert recips.tolist() == [pr.field.recip_power(x, k) for x in range(1, 1449)]
+        assert len(recips) == pr.height == 1448 and peak < 1 << 20
+        assert recips == tuple(pr.field.recip_power(x, k) for x in range(1, 1449))
 
     calls = []
     recip_power = PrimeField.recip_power
@@ -215,7 +215,7 @@ def force_kernel(monkeypatch, pick):
 
     def chooser(h, p):
         level = itertools.count(2)  # level 1 is the base itself
-        return lambda size, remaining, in_bits: pick(next(level), size, remaining)
+        return lambda size, remaining, in_bits, in_index: pick(next(level), size, remaining)
 
     monkeypatch.setattr(represent, "_kernel_chooser", chooser)
 
@@ -228,8 +228,8 @@ def spy_kernels(monkeypatch):
     def chooser(h, p):
         choose = real(h, p)
 
-        def spied(size, remaining, in_bits):
-            chosen.append(choose(size, remaining, in_bits))
+        def spied(size, remaining, in_bits, in_index):
+            chosen.append(choose(size, remaining, in_bits, in_index))
             return chosen[-1]
 
         return spied
@@ -249,10 +249,10 @@ def test_each_kernel_matches_exact_layers(monkeypatch, k, epsilon):
     p = rng.choice([q for q in primes_up_to(top) if q >= top // 2])
     pr = problem(p, k, epsilon)
     expected = minimal_layer_counts(pr)
-    assert np.array_equal(represent._layer_table(pr).coverage, expected)
+    assert represent._layer_table(pr).coverage.tolist() == expected
     for kernel in KERNELS:
         force_kernel(monkeypatch, lambda level, size, remaining: kernel)
-        assert np.array_equal(represent._layer_table(pr).coverage, expected), kernel
+        assert represent._layer_table(pr).coverage.tolist() == expected, kernel
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -267,27 +267,30 @@ def test_each_kernel_on_the_smallest_primes(monkeypatch, p):
 
 
 def test_kernel_switches_keep_the_table_exact(monkeypatch):
-    # Index form to bit form and back, more than once, through every kernel.
+    # Index form to bit form and back, more than once, through every kernel,
+    # with the push levels held as lists and written to the level array.
     pr = problem(9973, 1, Fraction(1, 4))  # frontier sizes 9, 39, ..., 1558, ..., 166, 31
     expected = minimal_layer_counts(pr)
-    seen = []
+    for held in ((8, 4), (0, 64)):  # hold up to 8 push levels; write every one
+        monkeypatch.setattr(represent, "_HELD", held)
+        seen = []
 
-    def sparse_dense_sparse(level, size, remaining):
-        seen.append(represent._push if size < 200 else represent._shift)
-        return seen[-1]
+        def sparse_dense_sparse(level, size, remaining):
+            seen.append(represent._push if size < 200 else represent._shift)
+            return seen[-1]
 
-    force_kernel(monkeypatch, sparse_dense_sparse)
-    assert np.array_equal(represent._layer_table(pr).coverage, expected)
-    runs = [kernel for i, kernel in enumerate(seen) if i == 0 or seen[i - 1] is not kernel]
-    assert runs == [represent._push, represent._shift, represent._push]
+        force_kernel(monkeypatch, sparse_dense_sparse)
+        assert represent._layer_table(pr).coverage.tolist() == expected
+        runs = [kernel for i, kernel in enumerate(seen) if i == 0 or seen[i - 1] is not kernel]
+        assert runs == [represent._push, represent._shift, represent._push]
 
-    cycle = (represent._push, represent._shift, represent._shift, represent._pull, represent._shift)
-    force_kernel(monkeypatch, lambda level, size, remaining: cycle[level % len(cycle)])
-    assert np.array_equal(represent._layer_table(pr).coverage, expected)
+        cycle = (represent._push, represent._shift, represent._shift, represent._pull, represent._shift)
+        force_kernel(monkeypatch, lambda level, size, remaining: cycle[level % len(cycle)])
+        assert represent._layer_table(pr).coverage.tolist() == expected
 
 
 class RecordedSlices(list):
-    """A generator list that records how far a shift pass read into it."""
+    """A generator list that records how far a kernel read into it."""
 
     read = 0
 
@@ -301,10 +304,15 @@ def bits_of(residues):
     return sum(1 << r for r in residues)
 
 
+def base_of(gens, p):
+    """The kernels' view of a generator list mod p."""
+    return represent._Base(gens, bits_of(gens), p)
+
+
 def test_shift_pass_stops_once_every_unreached_residue_is_hit():
     # All of 1..10 is the frontier mod 11: the first generator already hits 0.
     gens = RecordedSlices(range(1, 11))
-    hit = represent._shift(bits_of(range(1, 11)), bits_of([0]), gens, 11, 10, 1)
+    hit = represent._shift(bits_of(range(1, 11)), bits_of([0]), base_of(gens, 11), 10, 1)
     assert hit == bits_of([0])
     assert gens.read == 1
 
@@ -313,9 +321,32 @@ def test_shift_pass_runs_through_all_generators_when_it_must():
     # Only the last generator reaches 5 from 0, and nothing reaches 7.
     for unreached, expected in (([5], [5]), ([5, 7], [5])):
         gens = RecordedSlices([1, 2, 3, 4, 5])
-        hit = represent._shift(1, bits_of(unreached), gens, 11, 1, len(unreached))
+        hit = represent._shift(1, bits_of(unreached), base_of(gens, 11), 1, len(unreached))
         assert hit == bits_of(expected)
         assert gens.read == len(gens)
+
+
+def test_shift_pass_pulls_the_few_residues_it_has_not_hit():
+    # Mod 1009 the frontier is 0..499 and G = 1..200. 650 is reached only
+    # from g >= 151 and 800 not at all; the pass stops after the expected
+    # two generators, and the pull probes a few more before it tests each
+    # residue against all of u - G at once.
+    p, gens = 1009, RecordedSlices(range(1, 201))
+    base = base_of(gens, p)
+    step = represent._SHIFT_NS[0] + represent._SHIFT_NS[1] * p
+    budget = int(represent._TEST_STEPS * step / represent._PROBE_NS)
+    hit = represent._shift(bits_of(range(500)), bits_of([650, 800]), base, 500, 2)
+    assert hit == bits_of([650])
+    assert gens.read < 2 + budget + 1 < len(gens)
+
+
+def test_pull_probes_then_tests_all_of_u_minus_g():
+    p = 1009
+    gens = list(range(1, 201))
+    front = bits_of(range(500))
+    unreached = bits_of(range(500, p))
+    expected = bits_of(u for u in range(500, p) if any((u - g) % p < 500 for g in gens))
+    assert represent._pull(front, unreached, base_of(gens, p), 500, p - 500) == expected
 
 
 @pytest.mark.parametrize(
@@ -323,7 +354,7 @@ def test_shift_pass_runs_through_all_generators_when_it_must():
     [
         (1, Fraction(1, 8), represent._push),  # deep: a dozen residues per level
         (2, Fraction(1, 2), represent._shift),  # dense levels, 100 generators
-        (1, Fraction(9, 10), represent._pull),  # a base too large for a shift pass
+        (1, Fraction(1, 1), represent._pull),  # every residue but 0 in G: one residue left
     ],
 )
 def test_chooser_picks_the_one_fast_kernel(monkeypatch, k, epsilon, kernel):
@@ -331,8 +362,29 @@ def test_chooser_picks_the_one_fast_kernel(monkeypatch, k, epsilon, kernel):
     for p in rng.sample([q for q in primes_up_to(10_500) if q >= 9_500], 3):
         chosen = spy_kernels(monkeypatch)
         pr = problem(p, k, epsilon)
-        assert np.array_equal(represent._layer_table(pr).coverage, minimal_layer_counts(pr))
+        assert represent._layer_table(pr).coverage.tolist() == minimal_layer_counts(pr)
         assert chosen and set(chosen) == {kernel}, (p, chosen)
+
+
+def test_chooser_mixes_the_kernels_at_a_large_base(monkeypatch):
+    # p = 99991, k = 1, eps = 9/10: a shift for the dense level 2, whose one
+    # straggler, 0, is pulled, then a pull for the residues left.
+    chosen = spy_kernels(monkeypatch)
+    pr = problem(99991, 1, Fraction(9, 10))
+    assert represent._layer_table(pr).coverage.tolist() == minimal_layer_counts(pr)
+    assert chosen == [represent._shift, represent._pull]
+
+
+def test_coverage_is_the_narrowest_read_only_buffer():
+    # H = 1 makes G = {1}, so residue r needs r terms and 0 needs p.
+    cases = ((1009, Fraction(1, 2), "B"), (9973, Fraction(1, 8), "H"), (70001, Fraction(1, 100), "I"))
+    for p, epsilon, fmt in cases:
+        pr = problem(p, 1, epsilon)
+        table = build_layer_table(pr)
+        coverage = table.coverage
+        assert coverage.format == fmt and coverage.readonly and len(coverage) == p
+        assert max(coverage) == table.depth == n_max(pr)[0] < 1 << 8 * coverage.itemsize
+    assert coverage.tolist() == [p] + list(range(1, p))
 
 
 def test_scan_keeps_no_table_alive(monkeypatch):
@@ -361,7 +413,7 @@ def test_tables_are_freed_with_their_objects():
         field = PrimeField(p)
         a = ResidueSet.from_members(field, rng.choice(p, 300, replace=False))
         assert productset_dlog(a, a) == productset_naive(a, a)
-        assert build_layer_table(ReprProblem(field, 2, Fraction(1, 3))).coverage.size == p
+        assert len(build_layer_table(ReprProblem(field, 2, Fraction(1, 3))).coverage) == p
 
     work(primes.pop())  # first calls may allocate lasting interpreter state
     gc.collect()

@@ -1,16 +1,24 @@
-"""Time the BFS distance table (represent.build_layer_table) on a fixed ladder.
+"""Time the reciprocals and the BFS distance table on a fixed ladder.
 
 Usage:
 
     PYTHONPATH=src python tools/bench_bfs.py [--repeats N] [--first N]
 
-Each case builds a fresh ReprProblem per repeat, computes its reciprocals
-outside the clock, and times build_layer_table alone. The scan rungs time
-the whole prime range of one benchmark scan command. One JSON line is
-printed per case, smallest rung first, with the best and the median wall
-time over the repeats and the best CPU time. --first N runs only the
-first N rungs, as a smoke test. The script uses only the public API, so
-the same file times any checkout.
+Each case builds fresh ReprProblems per repeat and times three stages one
+after the other, over every prime of the case:
+
+- recips_s: ReprProblem.reciprocals, the reciprocal k-th powers of the bases;
+- bfs_s: build_layer_table, the BFS itself, which is all that scan needs;
+- coverage_s: the first read of LayerTable.coverage, the distance array that
+  represent and nmax read (a checkout that builds it inside
+  build_layer_table reports about 0 here).
+
+best_s and median_s time the distance table as represent and nmax use it,
+bfs_s + coverage_s, and best_cpu_s is its CPU time. The scan rungs time the
+whole prime range of one benchmark scan command. One JSON line is printed
+per case, smallest rung first, with the best (and for the table the median)
+over the repeats. --first N runs only the first N rungs, as a smoke test.
+The script uses only the public API, so the same file times any checkout.
 """
 
 from __future__ import annotations
@@ -39,14 +47,22 @@ LADDER = [
 ]
 
 
-def time_case(primes: list[int], k: int, epsilon: Fraction) -> tuple[float, float, int]:
-    """Wall and CPU seconds to build every table, and the deepest level among them."""
+def time_case(primes: list[int], k: int, epsilon: Fraction) -> dict:
+    """Wall seconds of each stage over every prime, the table's CPU seconds,
+    and the deepest level among the tables."""
     problems = [ReprProblem(PrimeField(p), k, epsilon) for p in primes]
+    start = time.perf_counter()
     for problem in problems:
         problem.reciprocals
+    recips = time.perf_counter() - start
     wall, cpu = time.perf_counter(), time.process_time()
-    depth = max(int(build_layer_table(problem).coverage.max()) for problem in problems)
-    return time.perf_counter() - wall, time.process_time() - cpu, depth
+    tables = [build_layer_table(problem) for problem in problems]
+    bfs = time.perf_counter() - wall
+    start = time.perf_counter()
+    coverages = [table.coverage for table in tables]
+    coverage, table_cpu = time.perf_counter() - start, time.process_time() - cpu
+    depth = max(int(max(c)) for c in coverages)
+    return {"recips": recips, "bfs": bfs, "coverage": coverage, "cpu": table_cpu, "depth": depth}
 
 
 def main() -> int:
@@ -60,21 +76,21 @@ def main() -> int:
             primes = [p for p in primes_up_to(hi) if p >= lo]
         else:
             primes = [primes]
-        walls, cpus = [], []
-        for _ in range(args.repeats):
-            wall, cpu, depth = time_case(primes, k, epsilon)
-            walls.append(wall)
-            cpus.append(cpu)
+        runs = [time_case(primes, k, epsilon) for _ in range(args.repeats)]
+        tables = [run["bfs"] + run["coverage"] for run in runs]
         row = {
             "case": name,
             "p": primes[0] if len(primes) == 1 else f"{primes[0]}..{primes[-1]}",
             "primes": len(primes),
             "k": k,
             "epsilon": f"{epsilon.numerator}/{epsilon.denominator}",
-            "depth": depth,
-            "best_s": round(min(walls), 5),
-            "median_s": round(statistics.median(walls), 5),
-            "best_cpu_s": round(min(cpus), 5),
+            "depth": runs[0]["depth"],
+            "recips_s": round(min(run["recips"] for run in runs), 5),
+            "bfs_s": round(min(run["bfs"] for run in runs), 5),
+            "coverage_s": round(min(run["coverage"] for run in runs), 5),
+            "best_s": round(min(tables), 5),
+            "median_s": round(statistics.median(tables), 5),
+            "best_cpu_s": round(min(run["cpu"] for run in runs), 5),
             "repeats": args.repeats,
         }
         print(json.dumps(row), flush=True)

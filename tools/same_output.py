@@ -12,7 +12,8 @@ machine. The list is the 45 benchmark workload commands
 (``perfbench/workloads.generate`` for each workload and seeds 7, 101 and
 1000), the README examples, and commands that exercise report shapes,
 error paths, target reduction, both covering routes, exact counts past
-4,300 digits and the int64 ceiling. The tool prints every command whose
+4,300 digits, the int64 ceiling, and the deep, wide-base and pooled
+representation tables that CI pins. The tool prints every command whose
 stdout SHA-256 or exit code differs between the checkouts, or whose
 stderr holds a Python traceback, and exits 1 if there is any.
 """
@@ -87,6 +88,10 @@ expsum --p 10007 --random-size 150 --min-J --seed 3
 expsum --p 101 --members 1,2,3,5,8,13 --J 3
 expsum --p 1009 --members 1,2,4,8,16 --J 4
 expsum --p 5 --members 1,2,3,4 --J 4000
+nmax --p 99991 --k 1 --epsilon 1/8
+nmax --p 1000003 --k 1 --epsilon 9/10
+nmax --p 1000003 --k 2 --epsilon 1/1
+scan --primes 2..4002 --k 3 --epsilon 1/3 --workers 2
 """
 
 
