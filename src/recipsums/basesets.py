@@ -111,7 +111,7 @@ def build_prime_reciprocal_set(spec: BaseSetSpec) -> tuple[ResidueSet, Distinctn
             f"only {len(primes)} primes <= {height} = floor({p}^{spec.beta}), need {u}"
         )
 
-    recips = spec.field.recip_powers(np.array(primes, dtype=np.int64), spec.k).tolist()
+    recips = [spec.field.recip_power(q, spec.k) for q in primes]
     bits = np.zeros(p, dtype=bool)
     for combo in combinations(recips, u):
         bits[sum(combo) % p] = True

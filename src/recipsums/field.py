@@ -2,13 +2,13 @@
 
 Residues are plain Python integers reduced to [0, p-1]; intermediate
 products never touch floating point. Inversion is intmath.inv_mod, Python's
-pow(a, -1, p); Fermat exponentiation is an independent cross-check. Whole arrays of
-reciprocal powers come from one int64 square-and-multiply, exact up to
-DENSE_P_MAX, the dense-modulus ceiling that this module owns.
+pow(a, -1, p); Fermat exponentiation is an independent cross-check. The
+module owns DENSE_P_MAX, the dense-modulus ceiling up to which the
+discrete-log tables are exact in int64.
 A field builds its discrete-log tables on first use and keeps them for as
 long as it lives: there is no table cache shared across fields.
-numpy is imported by the two array methods only, so the representation
-layer, which uses neither, runs without it.
+numpy is imported by dlog_tables only, so the representation layer, which
+does not use it, runs without it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .intmath import inv_mod, is_prime
 if TYPE_CHECKING:
     import numpy as np
 
-# Products of residues are taken in int64 (recip_powers, the dlog tables, the dense
-# kernels), exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
+# Products of residues are taken in int64 (the dlog tables, the dense kernels),
+# exact only while (p - 1)**2 < 2**63, i.e. p <= isqrt(2**63 - 1) + 1.
 DENSE_P_MAX = 3_037_000_500
 
 
@@ -51,36 +51,6 @@ class PrimeField:
         if x % self.p == 0:
             raise NotInvertible(f"{x} is divisible by {self.p}")
         return inv_mod(pow(x, k, self.p), self.p)
-
-    def recip_powers(self, xs: np.ndarray, k: int) -> np.ndarray:
-        """(x**k)^{-1} mod p for every x of an integer array, as int64.
-
-        x^e with e = -k mod (p - 1), by square-and-multiply over the whole
-        array in O(len(xs) log p) and with no length-p table. Exact in int64:
-        every operand is reduced below p, so every product is at most
-        (p - 1)**2 < 2**63 for p <= DENSE_P_MAX, the bound the discrete-log
-        tables rely on too.
-        """
-        import numpy as np
-
-        p = self.p
-        if k < 1:
-            raise ValueError("power k must be >= 1")
-        require_dense(p)
-        base = np.remainder(xs, p, dtype=np.int64)
-        if not base.all():
-            raise NotInvertible(f"an entry is divisible by {p}")
-        result = np.ones_like(base)
-        e = -k % (p - 1)
-        while e:
-            if e & 1:
-                np.multiply(result, base, out=result)
-                np.remainder(result, p, out=result)
-            e >>= 1
-            if e:
-                np.multiply(base, base, out=base)
-                np.remainder(base, p, out=base)
-        return result
 
     @cached_property
     def dlog_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,25 +10,25 @@ Every residue is reached within p steps because x = 1 is always admissible
 (a copies of 1 sum to a).
 
 The module is plain Python and imports no numpy. Each BFS level runs one
-of three kernels, the one a cost model of the frontier size, the unreached
-count, |G| and p expects to be cheapest:
+of two kernels, the one a cost model of the frontier size, the unreached
+count, |G| and p expects to be cheaper:
 - push: every sum of a small frontier, held as a list, with G, checked
   against a bytearray that flags the residues reached so far;
 - shift: the frontier as a Python-int bitmap, shifted by each generator and
-  OR-ed, stopping once every unreached residue is hit, or handing the few
-  it has not hit to the pull;
-- pull: each unreached u probes u - g in a bit-packed copy of the
-  frontier, generator by generator, and stops at its first hit; past a
-  budget of probes it tests all of u - G at once, as one shifted bitmap.
-The shift and the pull keep their levels as bit planes of the level
-numbers; the push's levels join the planes, or go to a uint32 array in a
-deep BFS. The distance array is put together from the two on first use,
-in the narrowest unsigned type that holds the depth, so a scan, which needs
-only the depth and |G|, never builds it. A witness is recovered by
-backtracking along the distances; ties resolve to the lexicographically
-smallest sequence. A problem computes its table on first use and keeps it
-for as long as it lives; nothing outlives the problem, so a batch of
-problems holds one table at a time.
+  OR-ed, stopping once every unreached residue is hit. The few residues it
+  has not hit by then are pulled: each unreached u probes u - g in a
+  bit-packed copy of the frontier, generator by generator, and stops at its
+  first hit; past a budget of probes it tests all of u - G at once, as one
+  shifted bitmap.
+The shift keeps its levels as bit planes of the level numbers; the push's
+levels join the planes, or go to a uint32 array in a deep BFS. The
+distance array is put together from the two on first use, in the narrowest
+unsigned type that holds the depth, so a scan, which needs only the depth
+and |G|, never builds it. A witness is recovered by backtracking along
+the distances; ties resolve to the lexicographically smallest sequence. A
+problem computes its table on first use and keeps it for as long as it
+lives; nothing outlives the problem, so a batch of problems holds one
+table at a time.
 """
 
 from __future__ import annotations
@@ -128,19 +128,14 @@ def check_representation(xs, target_value: int, problem: ReprProblem) -> bool:
 class LayerTable:
     """Minimal term counts of a problem, as BFS distances from 0.
 
-    base_size is |G| and depth the largest count, n_max. generators (G
-    ascending, read off level 1) and coverage are read-only buffers put
-    together from the BFS record on first use: coverage[r] is the minimal
-    N >= 1 with r a sum of N terms, in the narrowest of B, H and I that
-    holds the depth."""
+    base_size is |G| and depth the largest count, n_max. coverage is a
+    read-only buffer put together from the BFS record on first use:
+    coverage[r] is the minimal N >= 1 with r a sum of N terms, in the
+    narrowest of B, H and I that holds the depth."""
 
-    def __init__(self, depth: int, levels: array | None, planes: list[int], level_one: int, p: int):
-        self.depth, self.base_size = depth, level_one.bit_count()
-        self._levels, self._planes, self._level_one, self._p = levels, planes, level_one, p
-
-    @cached_property
-    def generators(self) -> memoryview:
-        return memoryview(array("I", _members(self._level_one, self._p))).toreadonly()
+    def __init__(self, depth: int, levels: array | None, planes: list[int], base_size: int, p: int):
+        self.depth, self.base_size = depth, base_size
+        self._levels, self._planes, self._p = levels, planes, p
 
     @cached_property
     def coverage(self) -> memoryview:
@@ -179,9 +174,9 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
     memory fails before any other is built.
     The BFS is in one of two forms, level 1 in both. In bit form the
     frontier and the unreached residues are Python-int bitmaps (bit r for
-    residue r); the shift and the pull run there, and their levels go into
-    bit planes: planes[b] holds the residues whose level has bit b set,
-    about log2(depth) ints of p bits. In index form the frontier is a list
+    residue r); the shift runs there, and its levels go into bit planes:
+    planes[b] holds the residues whose level has bit b set, about
+    log2(depth) ints of p bits. In index form the frontier is a list
     and the reached residues are flagged one byte each; the push runs there.
     Its levels are held as lists while they are few and short (_HELD), and
     join the planes when the BFS leaves index form or ends; past that they
@@ -238,7 +233,7 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
         remaining -= size
     if in_index and held:
         _hold(planes, held, p)
-    return LayerTable(level, levels if written else None, planes, base.bits, p)
+    return LayerTable(level, levels if written else None, planes, h, p)
 
 
 # Push levels are held as lists while there are at most _HELD[0] of them with
@@ -339,7 +334,7 @@ def _flags(bits: int, p: int) -> bytearray:
 # at p = 10^3 to 10^6 and checked on the tools/bench_bfs.py ladder (2 shared
 # vCPUs, Python 3.11).
 _PUSH_NS = (1_500, 70, 60)  # fixed; per sum of a frontier residue and a generator; per residue reached
-_PROBE_NS = 170  # per probe of the pull
+_PROBE_NS = 170  # per probe of the pull that finishes a shift
 _SHIFT_NS = (100, 0.044)  # per generator: fixed; per residue of Z/pZ
 _LIST_NS = 200  # per residue listed from a bitmap, or held as a list
 _TO_BITS_NS = (3_000, 1)  # index form to bit form: fixed; per residue of Z/pZ
@@ -351,28 +346,27 @@ _TEST_STEPS = 3
 
 
 def _kernel_chooser(h: int, p: int):
-    """A function (size, remaining, in_bits, in_index) -> the kernel expected
-    to expand a frontier of size residues fastest, with remaining residues
-    unreached, h generators and the frontier in bit form, index form or both.
+    """A function (size, remaining, in_bits, in_index) -> _push or _shift,
+    the kernel expected to expand a frontier of size residues faster, with
+    remaining residues unreached, h generators and the frontier in bit form,
+    index form or both.
 
     The push costs one sum per frontier residue and generator, and a write
-    per residue it reaches. The pull
-    lists the unreached residues and probes each against u - g, generator by
-    generator, until a probe hits the frontier: about p / size probes each,
-    never more than h, and never more than its budget (see _pull). The shift
-    costs one pass over a p-bit int per generator and stops, at the
-    earliest, once every residue left can be expected hit (_expected_stop);
-    a residue that needs one more term (0, say, when no two generators sum
-    to it) would make it run through all h, so the residues it has not hit
-    by then are pulled when they are few (see _shift). Changing form costs a
-    conversion in C, linear in p, plus a Python step per frontier residue."""
+    per residue it reaches. The shift costs one pass over a p-bit int per
+    generator and stops, at the earliest, once every residue left can be
+    expected hit (_expected_stop); a residue that needs one more term (0,
+    say, when no two generators sum to it) would make it run through all h,
+    so the residues it has not hit by then are pulled when they are few
+    (see _shift). Changing form costs a conversion in C, linear in p, plus a
+    Python step per frontier residue."""
     step = _SHIFT_NS[0] + _SHIFT_NS[1] * p
     to_bits = _TO_BITS_NS[0] + _TO_BITS_NS[1] * p
     to_index = _TO_INDEX_NS[0] + _TO_INDEX_NS[1] * p
-    budget = _TEST_STEPS * step / _PROBE_NS
-    # Below this many sums a push costs less than any shift can, which
-    # settles the many small levels of a deep BFS without the full comparison.
-    cheap_sums = (4 * step - _PUSH_NS[0]) / _PUSH_NS[1]
+    # Below this many sums they cost a push less than the fewest passes cost
+    # a shift. Each level also has a fixed cost, larger for the shift, so
+    # this settles the many small levels of a deep BFS without the full
+    # comparison, at a small p too.
+    cheap_sums = 4 * step / _PUSH_NS[1]
 
     def choose(size: int, remaining: int, in_bits: bool, in_index: bool):
         sums = size * h
@@ -381,13 +375,11 @@ def _kernel_chooser(h: int, p: int):
         # A sum hits each unreached residue with probability about 1 / p.
         push = _PUSH_NS[0] + _PUSH_NS[1] * sums - _PUSH_NS[2] * remaining * math.expm1(-sums / p)
         shift = (min(h, _expected_stop(size, remaining, p)) + 3) * step
-        pull = (_LIST_NS + _PROBE_NS * min(h, p / size, budget)) * remaining
         if not in_index:
             push += to_index + _LIST_NS * size
         if not in_bits:
-            shift, pull = shift + to_bits + _LIST_NS * size, pull + to_bits + _LIST_NS * size
-        best = min(push, shift, pull)
-        return _push if push == best else _shift if shift == best else _pull
+            shift += to_bits + _LIST_NS * size
+        return _push if push <= shift else _shift
 
     return choose
 

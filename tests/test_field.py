@@ -1,9 +1,17 @@
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from recipsums import NotInvertible, NotPrime, PrimeField
+from recipsums import (
+    BaseSetSpec,
+    NotInvertible,
+    NotPrime,
+    PrimeField,
+    ReprProblem,
+    build_prime_reciprocal_set,
+    primes_up_to,
+)
 from recipsums import field as field_module, sets
 from recipsums.field import recip_power_fermat
 from recipsums.intmath import inv_mod
@@ -80,30 +88,34 @@ def test_recip_power_fermat_cross_check(rng):
             assert f.recip_power(x, k) == recip_power_fermat(x, k, f)
 
 
-def test_recip_powers_vectorised():
-    field = PrimeField(101)
-    xs = np.arange(1, 300)
-    xs = xs[xs % 101 != 0]
-    for k in [1, 2, 7, 100, 101, 250]:
-        got = field.recip_powers(xs, k)
-        assert got.dtype == np.int64
-        assert got.tolist() == [recip_power_fermat(int(x), k, field) for x in xs]
-    assert PrimeField(2).recip_powers(np.array([1, 3]), 5).tolist() == [1, 1]
-    assert field.recip_powers(np.array([], dtype=np.int64), 3).size == 0
+def test_base_set_reciprocals_match_fermat():
+    # With u = 1 the base set is the reciprocal k-th powers of the primes <= p^beta.
+    for p, beta in [(101, Fraction(99, 100)), (9973, Fraction(1, 2)), (1_000_003, Fraction(1, 4))]:
+        field = PrimeField(p)
+        for k in [1, 2, 7, 100, 101, 250]:
+            spec = BaseSetSpec(field, k, beta, u=1)
+            members, report = build_prime_reciprocal_set(spec)
+            primes = primes_up_to(spec.prime_height)
+            assert report.prime_count == len(primes) > 0
+            assert set(members) == {recip_power_fermat(q, k, field) for q in primes}
 
 
-def test_recip_powers_refuses_multiples_of_p_and_bad_k():
+def test_recip_power_refuses_multiples_of_p_and_bad_k():
     field = PrimeField(7)
     with pytest.raises(NotInvertible):
-        field.recip_powers(np.array([1, 14]), 1)
+        field.recip_power(14, 1)
     with pytest.raises(ValueError):
-        field.recip_powers(np.array([1, 2]), 0)
+        field.recip_power(2, 0)
 
 
-def test_recip_powers_refuses_p_above_the_dense_ceiling():
+def test_reciprocal_powers_are_refused_above_the_dense_ceiling():
     # field owns the ceiling, and sets refuses through the same check.
     assert field_module.DENSE_P_MAX == 3_037_000_500
     assert sets.require_dense is field_module.require_dense
     # 3037000507 is the first prime above the ceiling.
-    with pytest.raises(ValueError, match="^3037000507 exceeds the dense-modulus ceiling 3037000500: "):
-        PrimeField(3_037_000_507).recip_powers(np.array([2]), 1)
+    field = PrimeField(3_037_000_507)
+    message = "^3037000507 exceeds the dense-modulus ceiling 3037000500: "
+    with pytest.raises(ValueError, match=message):
+        ReprProblem(field, 1, Fraction(1, 3))
+    with pytest.raises(ValueError, match=message):
+        BaseSetSpec(field, 1, Fraction(1, 10))

@@ -46,6 +46,11 @@ def exact_layer(pr, j):
     return base if j == 1 else sumset(exact_layer(pr, j - 1), base)
 
 
+def level_one(table):
+    """The residues at distance 1: G, ascending."""
+    return [r for r, n in enumerate(table.coverage) if n == 1]
+
+
 def minimal_layer_counts(pr):
     """For every residue, the first j whose exact layer contains it. The
     layers are iterated sumsets with the base, built in a loop: a deep BFS
@@ -96,9 +101,9 @@ def test_base_reciprocals_examples():
 def test_generators_are_level_one_of_the_distance_array(p, k, epsilon):
     pr = problem(p, k, epsilon)
     table = build_layer_table(pr)
-    gens = table.generators
-    assert gens.tolist() == sorted(set(pr.reciprocals)) == [r for r, n in enumerate(table.coverage) if n == 1]
-    assert gens.readonly and table.base_size == len(gens)
+    gens = level_one(table)
+    assert gens == sorted(set(pr.reciprocals))
+    assert table.base_size == len(gens)
     if k == 2 and epsilon == 1:  # x and p - x share 1/x^2, so G has half as many residues
         assert 2 * len(gens) == len(pr.reciprocals)
 
@@ -146,7 +151,7 @@ def test_n_max_examples():
 def test_layer_table_structure():
     pr = problem(7, 1, epsilon_for_height(7, 2))
     table = build_layer_table(pr)
-    assert table.generators.tolist() == [1, 4]
+    assert level_one(table) == [1, 4] and table.base_size == 2
     # exactly-j-term layers, computed by hand
     assert exact_layer(pr, 2).to_list() == [1, 2, 5]
     assert exact_layer(pr, 3).to_list() == [2, 3, 5, 6]
@@ -202,7 +207,7 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
     monkeypatch.setattr(PrimeField, "recip_power", counted)
     pr = problem(1009, 1, Fraction(1, 1))
     table = build_layer_table(pr)
-    assert table.generators.tolist() == base_reciprocals(pr).to_list()
+    assert level_one(table) == base_reciprocals(pr).to_list()
     assert calls == []
 
 
@@ -354,7 +359,7 @@ def test_pull_probes_then_tests_all_of_u_minus_g():
     [
         (1, Fraction(1, 8), represent._push),  # deep: a dozen residues per level
         (2, Fraction(1, 2), represent._shift),  # dense levels, 100 generators
-        (1, Fraction(1, 1), represent._pull),  # every residue but 0 in G: one residue left
+        (1, Fraction(1, 1), represent._shift),  # every residue but 0 in G: one left, hit by the first pass
     ],
 )
 def test_chooser_picks_the_one_fast_kernel(monkeypatch, k, epsilon, kernel):
@@ -368,11 +373,30 @@ def test_chooser_picks_the_one_fast_kernel(monkeypatch, k, epsilon, kernel):
 
 def test_chooser_mixes_the_kernels_at_a_large_base(monkeypatch):
     # p = 99991, k = 1, eps = 9/10: a shift for the dense level 2, whose one
-    # straggler, 0, is pulled, then a pull for the residues left.
+    # straggler, 0, is pulled, then a shift for the residue left.
     chosen = spy_kernels(monkeypatch)
+    pulled = []
+    pull = represent._pull
+
+    def spied_pull(front, unreached, *args):
+        pulled.append(unreached)
+        return pull(front, unreached, *args)
+
+    monkeypatch.setattr(represent, "_pull", spied_pull)
     pr = problem(99991, 1, Fraction(9, 10))
     assert represent._layer_table(pr).coverage.tolist() == minimal_layer_counts(pr)
-    assert chosen == [represent._shift, represent._pull]
+    assert chosen == [represent._shift, represent._shift]
+    assert pulled == [bits_of([0])]
+
+
+def test_chooser_pushes_every_small_level_at_a_small_prime(monkeypatch):
+    # p = 4001, k = 2, eps = 1/8: H = 2, so a thousand levels of at most four
+    # residues each. A shift level costs more fixed Python work than a push
+    # level, however short its pass over 4001 bits.
+    chosen = spy_kernels(monkeypatch)
+    pr = problem(4001, 2, Fraction(1, 8))
+    assert represent._layer_table(pr).coverage.tolist() == minimal_layer_counts(pr)
+    assert len(chosen) > 900 and set(chosen) == {represent._push}
 
 
 def test_coverage_is_the_narrowest_read_only_buffer():

@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from recipsums import PrimeField, ReprProblem, build_layer_table, primes_up_to
 
-# (name, primes, k, epsilon), smallest first.
+# (name, primes, k, epsilon), smallest first, then the rungs where the chooser
+# decides between push and shift.
 LADDER = [
     ("scan k=3 eps=1/3", (2, 4002), 3, Fraction(1, 3)),
     ("scan k=1 eps=1", (2, 2002), 1, Fraction(1, 1)),
@@ -44,6 +45,8 @@ LADDER = [
     ("1e6 k=1 eps=1", 1000003, 1, Fraction(1, 1)),
     ("1e6 k=1 eps=9/10", 1000003, 1, Fraction(9, 10)),
     ("1e6 k=2 eps=1/4", 1000003, 2, Fraction(1, 4)),
+    ("scan k=2 eps=1/8", (2, 4002), 2, Fraction(1, 8)),
+    ("1e6 k=1 eps=1/6", 1000003, 1, Fraction(1, 6)),
 ]
 
 

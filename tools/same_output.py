@@ -92,6 +92,9 @@ nmax --p 99991 --k 1 --epsilon 1/8
 nmax --p 1000003 --k 1 --epsilon 9/10
 nmax --p 1000003 --k 2 --epsilon 1/1
 scan --primes 2..4002 --k 3 --epsilon 1/3 --workers 2
+scan --primes 2..4002 --k 2 --epsilon 1/8
+nmax --p 1000003 --k 1 --epsilon 1/6
+baseset --p 1000003 --k 2 --beta 9/10 --u 1 --list-members
 """
 
 
