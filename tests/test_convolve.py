@@ -110,10 +110,13 @@ def test_power_matches_reference():
 
 
 @pytest.mark.parametrize(
-    "bound", [9, 10, 99, 100, 10**19 - 1, 10**19, (1 << 64) - 1, 1 << 64]
+    "bound",
+    [9, 10, 99, 100, 10**18 - 1, 10**18, 10**19 - 1, 10**19, (1 << 64) - 1, 1 << 64]
+    + [10**36 - 1, 10**36, 10**37],
 )
 def test_decimal_bucket_boundaries(bound):
-    # digit-width steps, and the widest bucket that still unpacks in uint64
+    # digit-width steps, the widest coefficient that fits in uint64, and the
+    # steps from one base-10^18 limb to two and from two to three
     check([bound, 0, 0], [0, 1, 0])
     check([0, 0, 1], [bound, 0, 0])
     half = bound // 2

@@ -215,6 +215,28 @@ def test_fourier_agreement(rng):
         assert covering_counts_fourier(t, j) == list(exact)
 
 
+def closed_form_counts(j):
+    # T = {1, 2, 3, 4} mod 5 has w = (0, 4, 4, 4, 4) = 4 * (1, ..., 1) - 4 * e_0,
+    # and 1 * x = (sum x) * 1, so w^J = (16^J - (-4)^J) / 5 * 1 + (-4)^J * e_0.
+    rest = (16**j - (-4) ** j) // 5
+    return (rest + (-4) ** j,) + (rest,) * 4
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 97, 2000])
+def test_covering_counts_match_the_closed_form(j):
+    counts = covering_counts(rset(5, [1, 2, 3, 4]), j)
+    assert counts == closed_form_counts(j)
+    assert counts[0] == (16**j + 4 * (-4) ** j) // 5
+
+
+@pytest.mark.parametrize("j, residue", [(2000, 1), (1999, 0)])
+def test_covering_minimum_matches_the_closed_form(j, residue):
+    # (-4)^J > 0 for even J puts the minimum off 0, at r = 1; odd J puts it at 0
+    report = check_covering_positivity(rset(5, [1, 2, 3, 4]), j)
+    assert (report.min_count, report.min_residue) == (closed_form_counts(j)[residue], residue)
+    assert report.all_covered
+
+
 def test_covering_positivity_full_set():
     report = check_covering_positivity(ResidueSet.full(PrimeField(7)), 1)
     assert report.all_covered

@@ -88,6 +88,7 @@ expsum --p 10007 --random-size 150 --min-J --seed 3
 expsum --p 101 --members 1,2,3,5,8,13 --J 3
 expsum --p 1009 --members 1,2,4,8,16 --J 4
 expsum --p 5 --members 1,2,3,4 --J 4000
+expsum --p 5 --members 1,2,3,4 --J 20000
 nmax --p 99991 --k 1 --epsilon 1/8
 nmax --p 1000003 --k 1 --epsilon 9/10
 nmax --p 1000003 --k 2 --epsilon 1/1
