@@ -80,11 +80,11 @@ def _convolve(a: tuple, b: tuple) -> tuple[np.ndarray, int, int]:
     n, digits = len(x), _digits(min(sum_a * max_b, sum_b * max_a))
     packed = _pack(x, digits)
     product = _EXACT.multiply(packed, packed if b is a else _pack(y, digits))
-    # the 2n linear buckets, least significant first, each padded to whole limbs
+    # the 2n linear buckets, each padded to whole limbs, then least significant first
     text = np.frombuffer(str(product).zfill(2 * n * digits).encode("ascii"), dtype=np.uint8)
     columns = np.zeros((2 * n, -(-digits // _LIMB_DIGITS), _LIMB_DIGITS), dtype=np.uint8)
-    np.subtract(text.reshape(2 * n, digits)[::-1], _ZERO, out=columns.reshape(2 * n, -1)[:, -digits:])
-    linear = np.einsum("rwk,k->rw", columns, _POWERS, dtype=np.uint64)
+    np.subtract(text.reshape(2 * n, digits), _ZERO, out=columns.reshape(2 * n, -1)[:, -digits:])
+    linear = np.einsum("rwk,k->rw", columns, _POWERS, dtype=np.uint64)[::-1]
     limbs = linear[:n] + linear[n:]
     while (carry := limbs >= _LIMB).any():  # never out of the top limb: each c[k] < 10^digits
         np.subtract(limbs, _LIMB, out=limbs, where=carry)
