@@ -24,7 +24,7 @@ def vector(n):
     )
 
 
-def check_dtype(got, expected):
+def assert_matches(got, expected):
     assert got.tolist() == expected
     assert got.dtype == (np.uint64 if max(expected) < 1 << 64 else object)
 
@@ -34,7 +34,7 @@ def check_dtype(got, expected):
 def test_matches_reference_at_every_width(data):
     n = data.draw(st.integers(1, 12))
     a, b = data.draw(vector(n)), data.draw(vector(n))
-    check_dtype(cyclic_convolve_exact(a, b, n), convolve_py(a, b))
-    check_dtype(cyclic_convolve_exact(a, a, n), convolve_py(a, a))
+    assert_matches(cyclic_convolve_exact(a, b, n), convolve_py(a, b))
+    assert_matches(cyclic_convolve_exact(a, a, n), convolve_py(a, a))
     j = data.draw(st.integers(1, 5))
-    check_dtype(cyclic_power_exact(a, j, n), [int(v) for v in power_py(a, j)])
+    assert_matches(cyclic_power_exact(a, j, n), [int(v) for v in power_py(a, j)])
