@@ -45,7 +45,6 @@ _EXPORTS = {
         "exp_sum_profile",
         "exponent_excess",
         "f_profile",
-        "h_profile",
         "minimal_covering_J",
         "pair_product_multiplicity",
         "verify_bilinear_bound",

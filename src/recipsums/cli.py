@@ -301,7 +301,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
     bilinear = verify_bilinear_bound(profile)
     result = {
         "set_size": profile.set_size,
-        "h0": float(profile.h_abs[0]),
+        "h0": float(profile.set_size),
         "f0": profile.f0,
         "parseval_relative_error": profile.parseval_relative_error,
         "bilinear": dataclasses.asdict(bilinear),

@@ -1,16 +1,17 @@
 """Exponential sums over a set T and exact covering counts of products.
 
-For T a subset of Z/pZ, h(a) = sum_{t in T} e(at/p) and
-f(a) = sum_{t1,t2 in T} e(a*t1*t2/p), with e(x) = exp(2*pi*i*x). The
+For T a subset of Z/pZ, f(a) = sum_{t1,t2 in T} e(a*t1*t2/p), with
+e(x) = exp(2*pi*i*x), is the DFT of the pair-product counts w; T keeps one
+real-input transform of w for the profile, the bound and the ranking. The
 nontrivial bound |f(a)| <= sqrt(p)*|T| for a != 0 (Cauchy-Schwarz plus
 Parseval) makes J-fold sums of pair products t1*t2 cover every residue
 class once J is large enough. Covering counts are computed exactly by
 big-integer cyclic convolution. The covering minimum needs no full J-th
 power: a float Fourier ranking under a proven error bound names the few
 candidate residues, and each is counted exactly from the two half powers
-c_floor(J/2) and c_ceil(J/2). The full table is the fallback, and where
-an error estimate says its Fourier inversion rounds to the exact counts,
-the two are compared entrywise as a cross-check.
+c_floor(J/2) and c_ceil(J/2), then checked against the ranking. The full
+table is the fallback, and where an error estimate says its Fourier
+inversion rounds to the exact counts, the two are compared entrywise.
 """
 
 from __future__ import annotations
@@ -28,67 +29,54 @@ from .growth import product_counts, sumset
 from .sets import ResidueSet
 
 
-def h_profile(t: ResidueSet) -> np.ndarray:
-    """h(a) = sum_{t in T} e(at/p) for all a, via a length-p DFT."""
-    if t.card == 0:
-        raise ValueError("profile requires a nonempty set")
-    chi = t.bits.astype(np.float64)
-    # numpy's forward FFT uses e(-at/p); conjugate to match e(+at/p).
-    return np.conj(np.fft.fft(chi))
-
-
-def h_profile_direct(t: ResidueSet) -> np.ndarray:
-    """Literal double-sum evaluation of h, for cross-checking the DFT."""
-    p = t.field.p
-    a = np.arange(p)[:, None]
-    tm = t.members()[None, :]
-    return np.exp(2j * np.pi * (a * tm) / p).sum(axis=1)
-
-
 def f_profile(t: ResidueSet) -> np.ndarray:
-    """f(a) = sum_m w[m] e(am/p): the DFT of the pair-product counts w, which
-    are exact integers <= 2|T| <= 2p, so the float input carries no error."""
-    return np.conj(np.fft.fft(pair_product_multiplicity(t)))
-
-
-def f_profile_direct(t: ResidueSet) -> np.ndarray:
-    """Literal double sum over T x T, for cross-checking f_profile."""
-    p = t.field.p
-    tm = t.members()
-    prods = ((tm[:, None] * tm[None, :]) % p).ravel()
-    f = np.zeros(p, dtype=np.complex128)
-    for a in range(p):
-        f[a] = np.exp(2j * np.pi * a * prods / p).sum()
+    """f(a) = sum_m w[m] e(am/p) for a = 0..p//2 (f(p - a) is its conjugate,
+    as w is real), with f(0) = |T|^2 exact. T keeps it beside w, write-locked:
+    the profile, the bound and the covering ranking all read this one
+    transform, taken of w - |T|^2/p so the ranking can bound its error (below)."""
+    f = t._f_profile
+    if f is None:
+        f = np.conj(np.fft.rfft(pair_product_multiplicity(t) - t.card * t.card / t.field.p))
+        f[0] = t.card * t.card
+        f.setflags(write=False)
+        object.__setattr__(t, "_f_profile", f)
     return f
+
+
+def _hermitian_weights(p: int) -> np.ndarray:
+    """How many of a and p - a each entry a = 0..p//2 of a half spectrum stands for."""
+    weights = np.full(p // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if p % 2 == 0:
+        weights[-1] = 1.0
+    return weights
 
 
 @dataclass(frozen=True)
 class ExpSumProfile:
-    """|h(a)| and |f(a)| for one set, plus the exact mass f(0) = |T|^2."""
+    """|f(a)| for a = 0..p//2, f(0) = |T|^2, and the relative deviation of
+    sum_a |f(a)|^2 from Parseval's p * sum_m w[m]^2."""
 
     p: int
     set_size: int
-    h_abs: np.ndarray
     f_abs: np.ndarray
     f0: int
-
-    @property
-    def parseval_relative_error(self) -> float:
-        """Relative deviation of sum |h(a)|^2 from p*|T|."""
-        total = float(np.sum(self.h_abs**2))
-        expected = self.p * self.set_size
-        return abs(total - expected) / expected
+    parseval_relative_error: float
 
 
 def exp_sum_profile(t: ResidueSet) -> ExpSumProfile:
-    h = h_profile(t)
-    f = f_profile(t)
+    if t.card == 0:
+        raise ValueError("profile requires a nonempty set")
+    p, f_abs = t.field.p, np.abs(f_profile(t))
+    total = float(np.sum(_hermitian_weights(p) * f_abs**2))
+    # p * sum_m w[m]^2 exactly, from how many m share each value of w.
+    expected = p * sum(v * v * n for v, n in enumerate(np.bincount(pair_product_multiplicity(t)).tolist()))
     return ExpSumProfile(
-        p=t.field.p,
+        p=p,
         set_size=t.card,
-        h_abs=np.abs(h),
-        f_abs=np.abs(f),
+        f_abs=f_abs,
         f0=t.card * t.card,
+        parseval_relative_error=abs(total - expected) / expected,
     )
 
 
@@ -108,18 +96,19 @@ def verify_bilinear_bound(profile: ExpSumProfile) -> BilinearReport:
 
     The bound always holds mathematically, so a violation beyond
     _BILINEAR_TOLERANCE is raised as BoundViolated: it detects implementation bugs.
-    |f(a)| = |f(p - a)| as w is real, so worst_a is the smaller mirror of the argmax.
+    a = 1..p//2 cover p - a too, as |f(p - a)| = |f(a)|. worst_a is the least a
+    whose ratio is within _BILINEAR_TOLERANCE of the maximum: where T*lambda = T,
+    |f| is constant on the cosets a*<lambda>, and rounding must not pick.
     """
     scale = math.sqrt(profile.p) * profile.set_size
     ratios = profile.f_abs[1:] / scale
-    worst = int(np.argmax(ratios)) + 1
-    max_ratio = float(ratios[worst - 1]) if ratios.size else 0.0
+    max_ratio = float(ratios.max())
+    worst_a = int(np.argmax(ratios >= max_ratio - _BILINEAR_TOLERANCE)) + 1
     holds = max_ratio <= 1.0 + _BILINEAR_TOLERANCE
     if not holds:
         raise BoundViolated(
-            f"|f({worst})| = {profile.f_abs[worst]:.6g} exceeds sqrt(p)*|T| = {scale:.6g}"
+            f"|f({worst_a})| = {profile.f_abs[worst_a]:.6g} exceeds sqrt(p)*|T| = {scale:.6g}"
         )
-    worst_a = min(worst, profile.p - worst)
     return BilinearReport(max_ratio=max_ratio, worst_a=worst_a, holds=holds)
 
 
@@ -158,20 +147,21 @@ def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
 
 
 def _fourier_check_applicable(set_size: int, j: int, p: int) -> bool:
-    # An estimate, not a bound: after the J-th power and the inverse DFT of
-    # f = conj(fft(w)) a count is off by about J * log2(p) * |T|^(2J) * 2^-53,
+    # An estimate, not a bound: after the J-th power and the inverse real DFT
+    # of w's half spectrum a count is off by about J * log2(p) * |T|^(2J) * 2^-53,
     # and 4x that must stay below 1/8. It gates a cross-check, never a count.
     return 4 * j * p.bit_length() * (set_size * set_size) ** j < 2**50
 
 
 # The covering minimum from a float ranking (_fourier_ranking) plus exact
-# candidates (_half_power_minimum). With F = fft(w) and n2 = |T|^2,
+# candidates (_half_power_minimum). With F the DFT of w and n2 = |T|^2,
 #     p * c_J(r) = n2^J + E(r),   E(r) = sum_{a != 0} F(a)^J e(ar/p),
 # so the minimisers of c_J are those of E. If every computed value obeys
 # |E~(r) - E(r)| <= eps, each exact minimiser r* satisfies
 # E~(r*) <= E(r*) + eps <= min E + eps <= min E~ + 2 eps, and evaluating
 # every r with E~(r) <= min E~ + 2 eps exactly finds the least count and
-# the smallest residue that attains it.
+# the smallest residue that attains it. Each evaluated count must then
+# itself lie within eps of E~(r), a cross-check at no extra transform.
 #
 # The bound eps, with u = 2^-53:
 # 0. Error model. Every output of an unnormalised length-n DFT computed by
@@ -190,7 +180,7 @@ def _fourier_check_applicable(set_size: int, j: int, p: int) -> bool:
 #    rounding of order n u in evaluating eps itself and in forming
 #    min E~ + 2 eps.
 # 1. Input. F(a) for a != 0 does not change when a constant is subtracted
-#    from w, so the transform takes v = fl(w - n2/p): |v_m - (w_m - mu)|
+#    from w, so f_profile transforms v = fl(w - n2/p): |v_m - (w_m - mu)|
 #    <= u |v_m| for the float mu used, and the error is measured against
 #    sum|v| <= sqrt(sum_{a != 0} |F(a)|^2) rather than n2 = F(0), which
 #    exceeds every other |F(a)| <= sqrt(p) |T| by |T| / sqrt(p) or more.
@@ -225,24 +215,22 @@ def _dft_error(n: int) -> float:
     return 16 * 4 * n * math.log2(2 * n) * _U
 
 
-def _fourier_ranking(w: np.ndarray, j: int, n2: int) -> tuple[np.ndarray, float, int] | None:
+def _fourier_ranking(t: ResidueSet, j: int) -> tuple[np.ndarray, float, int] | None:
     """(E~, eps, k): E~(r) approximates 2^-k E(r) for every r to within
     eps, with s^J = 2^-k (see above); None when a value is not finite."""
-    p = w.size
-    v = w.astype(np.float64) - n2 / p
-    f = np.fft.rfft(v)
-    f[0] = 0
-    # Weight of each rfft entry in the Hermitian extension (a and p - a).
-    weights = np.full(f.size, 2.0)
+    p = t.field.p
+    f = f_profile(t)
+    # F(0) is set to 0 below, so it carries no weight.
+    weights = _hermitian_weights(p)
     weights[0] = 0.0
-    if p % 2 == 0:
-        weights[-1] = 1.0
-    top = float(np.abs(f).max())
+    top = float(np.abs(f[1:]).max())
     if not (math.isfinite(top) and top > 0):
         return None
     shift = math.frexp(top)[1]
-    x = f * 2.0**-shift
-    delta = (_dft_error(p) + _U) * float(np.abs(v).sum()) * 2.0**-shift
+    x = np.conj(f) * 2.0**-shift  # 2^-shift F, with F the DFT of w
+    x[0] = 0
+    v_sum = float(np.abs(pair_product_multiplicity(t) - t.card * t.card / p).sum())
+    delta = (_dft_error(p) + _U) * v_sum * 2.0**-shift
     g, base, k = None, x, j
     while k:
         if k & 1:
@@ -274,25 +262,29 @@ def _half_power_minimum(t: ResidueSet, j: int) -> tuple[int, int] | None:
     that cannot be evaluated, or more than _CANDIDATE_CAP candidates)."""
     if j < 2:
         return None
-    p = t.field.p
-    w = pair_product_multiplicity(t)
-    n2 = t.card * t.card
-    ranking = _fourier_ranking(w, j, n2)
+    ranking = _fourier_ranking(t, j)
     if ranking is None:
         return None
-    candidates = _candidates(*ranking[:2])
+    e, eps, k = ranking
+    candidates = _candidates(e, eps)
     if candidates.size > _CANDIDATE_CAP:
         return None
+    p, n2 = t.field.p, t.card * t.card
+    w = pair_product_multiplicity(t)
     low = cyclic_power_exact(w, j // 2, p)
     high = low if j % 2 == 0 else cyclic_convolve_exact(low, w, p)
     low, high = low.tolist(), high.tolist()
     for h, counts in ((j // 2, low), (j - j // 2, high)):
         if sum(counts) != n2**h:
             raise RuntimeError(f"half-power mass {sum(counts)} != (|T|^2)^{h}; kernel bug")
+    mass = n2**j
     best = None
     for r in candidates.tolist():
         # c_J(r) = sum_s low[s] * high[r - s]; the slices list high[r - s] for s = 0..p-1.
         count = sum(map(operator.mul, low, high[r::-1] + high[:r:-1]))
+        # 2^-k E(r), rounded once by int true division (if k < 0, |E(r)| < p).
+        if not abs((p * count - mass) / 2**k - e[r]) <= eps:
+            raise RuntimeError(f"covering count {count} at r = {r} is off the Fourier ranking; kernel bug")
         if best is None or count < best[0]:
             best = (count, r)
     return best
@@ -322,8 +314,8 @@ def covering_counts(t: ResidueSet, j: int) -> tuple[int, ...]:
 
 
 def covering_counts_fourier(t: ResidueSet, j: int) -> list[int]:
-    """Floating-point Fourier evaluation of the covering counts, rounded."""
-    counts = np.fft.fft(f_profile(t) ** j).real / t.field.p
+    """The covering counts as the rounded inverse real DFT of conj(f)^J."""
+    counts = np.fft.irfft(np.conj(f_profile(t)) ** j, n=t.field.p)
     return [int(round(c)) for c in counts]
 
 

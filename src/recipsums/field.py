@@ -100,10 +100,3 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def recip_power_fermat(x: int, k: int, field: PrimeField) -> int:
-    """Cross-check path: 1/x^k computed as x^{k(p-2)} mod p."""
-    if x % field.p == 0:
-        raise NotInvertible(f"{x} is divisible by {field.p}")
-    return pow(pow(x, k, field.p), field.p - 2, field.p)

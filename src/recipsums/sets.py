@@ -23,8 +23,9 @@ class ResidueSet:
 
     field: PrimeField
     bits: np.ndarray
-    # expsums.pair_product_multiplicity of the set, once computed.
+    # expsums.pair_product_multiplicity and expsums.f_profile of the set, once computed.
     _pair_products: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
+    _f_profile: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # np.array always copies, so the caller keeps no handle on the bitmap.

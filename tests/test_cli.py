@@ -97,6 +97,39 @@ def test_expsum_random_seeded(capsys):
     assert doc1["result"]["set_size"] == 20
 
 
+def test_expsum_worst_a_is_the_least_of_exact_ties(capsys):
+    # T*x = T for every square x, so |f| is constant on both cosets of the
+    # quadratic residues, and rounding alone would pick among their members.
+    members = sorted({x * x % 101 for x in range(1, 101)})
+    assert len(members) == 50
+    doc = run_json(capsys, "expsum", "--p", "101", "--members", ",".join(map(str, members)))
+    assert doc["result"]["bilinear"]["worst_a"] == 2
+    assert doc["result"]["h0"] == 50.0
+
+
+def test_expsum_takes_one_spectrum(capsys, monkeypatch):
+    from recipsums import expsums
+
+    calls = []
+    for name in ("fft", "rfft", "irfft"):
+
+        def spy(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append((_name, kwargs.get("n", len(a))))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+
+    def refuse(*args):
+        raise AssertionError("full covering table built")
+
+    monkeypatch.setattr(expsums, "covering_counts", refuse)
+    doc = run_json(capsys, "expsum", "--p", "101", "--members", "1,2,3,5,8,13", "--J", "3")
+    assert doc["result"]["covering"]["min_count"] == 96
+    assert doc["result"]["h0"] == float(doc["result"]["set_size"]) == 6.0
+    # One rfft of w feeds the profile, the bound and the ranking; the ranking inverts once.
+    assert calls == [("rfft", 101), ("irfft", 101)]
+
+
 def test_expsum_computes_pair_products_once(capsys, monkeypatch):
     from recipsums import expsums
 
@@ -286,10 +319,16 @@ GOLDEN = {
         "bbac9856ed46720e14956eb9d25e5f846748a0bfd12d57b3ddd55e88d94c60b9",
     "grow --p 10007 --k 1 --beta 1/4":
         "43b9483bfb6c48f2838e09a25f542fb882dc60bbe17df611b8f1d151eecba9d3",
+    # Re-pinned when one rfft of w replaced the h transform and the full fft
+    # of w; only float fields moved, each covering count and minimal_J stayed.
+    # parseval_relative_error 1.6388768389457216e-16 -> 0.0,
+    # max_ratio 0.17081395168309718 -> 0.1708139516830971.
     "expsum --p 1009 --grow --auto-J":
-        "aac7fd3e7900cf47e5af41df3e45e152fac7bdc0d5b5f996fbfa54740d123ef8",
+        "18ef1c2cad774fad01db76ea51d8d5ce8e0a65f8b35846863d66baeb65c6bcd5",
+    # parseval_relative_error 3.874698679545176e-16 -> 2.2777505165116326e-16,
+    # max_ratio 0.06980005391150709 -> 0.06980005391150702.
     "expsum --p 2003 --random-size 300 --J 5 --min-J --seed 3":
-        "3518897d10ed247b9010e7f5a562b573e57458c95eec5f5e242ce3ed2805669c",
+        "99bfd00c031b2876f89d64a66950a5bc5bd840f439e18c29d1897fd9ca32ac97",
     # Pinned while minimal term counts still came from stored exactly-j
     # layers; these reach both the push and the pull step of the BFS.
     "nmax --p 10007 --k 2 --epsilon 1/2":

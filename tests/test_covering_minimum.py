@@ -1,6 +1,7 @@
 """The covering minimum from a float ranking plus exact half powers,
 against the full J-th power as the oracle."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -11,6 +12,7 @@ import pytest
 from recipsums import PrimeField, ResidueSet, check_covering_positivity
 from recipsums import expsums
 from recipsums.basesets import BaseSetSpec, build_prime_reciprocal_set
+from recipsums.cli import main
 from recipsums.convolve import cyclic_convolve_exact, cyclic_power_exact
 from recipsums.expsums import (
     _candidates,
@@ -81,7 +83,7 @@ def test_minimum_matches_full_power_on_grid():
 def test_bound_dominates_observed_error_on_grid():
     for t, j in GRID:
         p, n2 = t.field.p, t.card * t.card
-        e, eps, k = _fourier_ranking(pair_product_multiplicity(t), j, n2)
+        e, eps, k = _fourier_ranking(t, j)
         scale = Fraction(2) ** -k
         exact = (Fraction(p * c - n2**j) * scale for c in full_counts(t, j))
         observed = max(abs(Fraction(float(x)) - y) for x, y in zip(e, exact))
@@ -94,7 +96,7 @@ def test_coset_ties_below_the_cap_report_the_smallest_residue():
     counts = full_counts(t, 13)
     least = min(counts)
     assert counts.count(least) == 63
-    e, eps, _ = _fourier_ranking(pair_product_multiplicity(t), 13, t.card**2)
+    e, eps, _ = _fourier_ranking(t, 13)
     tied = [r for r, c in enumerate(counts) if c == least]
     assert int(np.argmin(e)) != tied[0]  # float rounding alone would not pick it
     assert _half_power_minimum(t, 13) == (least, tied[0])
@@ -131,7 +133,7 @@ def test_candidate_rule_keeps_the_boundary():
 def test_unusable_bound_falls_back(monkeypatch):
     t = grown(1009)
     monkeypatch.setattr(expsums, "_dft_error", lambda n: float("inf"))
-    assert _fourier_ranking(pair_product_multiplicity(t), 12, t.card**2) is None
+    assert _fourier_ranking(t, 12) is None
     assert _half_power_minimum(t, 12) is None
     report = check_covering_positivity(t, 12)
     assert (report.min_count, report.min_residue) == oracle(t, 12)
@@ -181,3 +183,27 @@ def test_half_power_mass_is_checked(monkeypatch):
     monkeypatch.setattr(expsums, "cyclic_convolve_exact", _corrupted(cyclic_convolve_exact))
     with pytest.raises(RuntimeError, match="mass"):
         _half_power_minimum(t, 13)
+
+
+def _swapped(kernel):
+    """Swaps two entries of a half power, so every mass still checks out."""
+
+    def wrapped(*args):
+        out = kernel(*args).copy()
+        out[[1, 2]] = out[[2, 1]]
+        return out
+
+    return wrapped
+
+
+def test_each_exact_count_is_checked_against_the_ranking(monkeypatch, capsys):
+    t = grown(1009)
+    assert _half_power_minimum(t, 12) == oracle(t, 12)
+    monkeypatch.setattr(expsums, "cyclic_power_exact", _swapped(cyclic_power_exact))
+    with pytest.raises(RuntimeError, match="off the Fourier ranking"):
+        _half_power_minimum(t, 12)
+    code = main(["expsum", "--p", "1009", "--grow", "--k", "1", "--beta", "1/4", "--J", "12"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["type"] == "RuntimeError"
+    assert "off the Fourier ranking" in error["message"]

@@ -21,7 +21,6 @@ from recipsums import (
     exp_sum_profile,
     exponent_excess,
     f_profile,
-    h_profile,
     minimal_covering_J,
     pair_product_multiplicity,
     verify_bilinear_bound,
@@ -29,7 +28,7 @@ from recipsums import (
 from recipsums import expsums, growth
 from recipsums.basesets import primes_up_to
 from recipsums.convolve import cyclic_convolve_exact
-from recipsums.expsums import f_profile_direct, h_profile_direct
+from recipsums.field import primitive_root
 from recipsums.growth import product_counts
 
 
@@ -37,44 +36,38 @@ def rset(p, members):
     return ResidueSet.from_members(PrimeField(p), members)
 
 
-def test_h_profile_trivial():
-    h = h_profile(rset(7, [0]))
-    assert np.allclose(h, np.ones(7))
-    h_full = h_profile(ResidueSet.full(PrimeField(7)))
-    assert h_full[0] == pytest.approx(7)
-    assert np.allclose(np.abs(h_full[1:]), 0, atol=1e-9)
-
-
-def test_h_profile_vs_direct(rng):
-    for p in [7, 11, 101]:
-        for _ in range(10):
-            t = rset(p, rng.sample(range(p), rng.randint(1, p - 1)))
-            assert np.allclose(h_profile(t), h_profile_direct(t), atol=1e-9)
-    t = rset(7, [1, 2, 4])
-    h = h_profile(t)
-    assert h[0] == pytest.approx(3)
-    direct = sum(np.exp(2j * np.pi * tt / 7) for tt in [1, 2, 4])
-    assert abs(h[1] - direct) < 1e-9
+def f_profile_direct(t):
+    """Literal double sum over T x T at every a, for cross-checking f_profile."""
+    p = t.field.p
+    tm = t.members()
+    prods = ((tm[:, None] * tm[None, :]) % p).ravel()
+    f = np.zeros(p, dtype=np.complex128)
+    for a in range(p):
+        f[a] = np.exp(2j * np.pi * a * prods / p).sum()
+    return f
 
 
 def test_f_profile_trivial():
     f1 = f_profile(rset(7, [1]))
+    assert f1.shape == (4,)
     assert np.allclose(np.abs(f1), 1)
     f0 = f_profile(rset(7, [0]))
-    assert np.allclose(f0, np.ones(7))
+    assert np.allclose(f0, np.ones(4))
     for members in [[1, 2], [0, 3, 5]]:
         t = rset(11, members)
-        assert f_profile(t)[0].real == pytest.approx(len(members) ** 2)
+        assert f_profile(t)[0] == len(members) ** 2
 
 
 def test_f_profile_vs_direct(rng):
+    # f_profile is the half spectrum a = 0..p//2; the rest mirrors it.
     for p in [7, 11, 101]:
         for _ in range(5):
             t = rset(p, rng.sample(range(p), rng.randint(1, min(p - 1, 50))))
             f = f_profile(t)
             fd = f_profile_direct(t)
             scale = max(1.0, float(np.abs(fd).max()))
-            assert np.abs(f - fd).max() / scale < 1e-8
+            assert np.abs(f - fd[: p // 2 + 1]).max() / scale < 1e-8
+            assert np.abs(np.conj(f[1 : (p + 1) // 2]) - fd[: p // 2 : -1]).max() / scale < 1e-8
     seeded = random.Random(4099)
     for p in [2, 3, 503, 1009]:
         for with_zero in (False, True):
@@ -82,18 +75,18 @@ def test_f_profile_vs_direct(rng):
                 members = seeded.sample(range(1, p), seeded.randint(1, min(p - 1, 59)))
                 t = rset(p, members + [0] * with_zero)
                 assert (0 in t) == with_zero
-                fd = f_profile_direct(t)
+                fd = f_profile_direct(t)[: p // 2 + 1]
                 assert np.abs(f_profile(t) - fd).max() / float(np.abs(fd).max()) < 1e-8
 
 
 def test_parseval(rng):
-    for p in [11, 101, 499]:
+    for p in [2, 11, 101, 499]:
         for _ in range(20):
             t = rset(p, rng.sample(range(p), rng.randint(1, p - 1)))
             profile = exp_sum_profile(t)
             assert profile.parseval_relative_error < 1e-6
-            assert profile.h_abs[0] == pytest.approx(t.card, rel=1e-9)
-            assert profile.f_abs[0] == pytest.approx(profile.f0, rel=1e-9)
+            assert profile.set_size == t.card  # the CLI prints h0 = h(0) = |T| from it
+            assert profile.f_abs[0] == profile.f0 == t.card**2
 
 
 def test_bilinear_bound():
@@ -120,16 +113,36 @@ def test_bilinear_worst_a_is_smaller_mirror():
             assert abs(profile.f_abs[report.worst_a] - peak) <= 1e-12 * peak
             scale = math.sqrt(p) * t.card
             assert report.max_ratio == pytest.approx(peak / scale, rel=1e-12)
+            # the least a within the tolerance of the maximum
+            ratios = profile.f_abs[1 : report.worst_a] / scale
+            assert (ratios < report.max_ratio - expsums._BILINEAR_TOLERANCE).all()
 
 
 def test_bilinear_bound_checks_upper_half():
+    # The half profile's a = 2 stands for a = 9 > p/2 as well.
     p = 11
-    f_abs = np.ones(p)
+    f_abs = np.ones(p // 2 + 1)
     f_abs[0] = 4.0
-    f_abs[9] = 2 * math.sqrt(p) * 2  # too large only at a = 9 > p/2
-    profile = ExpSumProfile(p=p, set_size=2, h_abs=np.ones(p), f_abs=f_abs, f0=4)
-    with pytest.raises(BoundViolated):
+    f_abs[2] = 2 * math.sqrt(p) * 2
+    profile = ExpSumProfile(p=p, set_size=2, f_abs=f_abs, f0=4, parseval_relative_error=0.0)
+    with pytest.raises(BoundViolated, match=r"\|f\(2\)\|"):
         verify_bilinear_bound(profile)
+
+
+def test_worst_a_is_the_least_element_of_the_maximising_coset():
+    p, index = 1009, 4
+    g = primitive_root(p)
+    t = rset(p, [pow(g, index * i, p) for i in range((p - 1) // index)])
+    assert t.card == 252
+    profile = exp_sum_profile(t)
+    report = verify_bilinear_bound(profile)
+    # |f| is constant on each coset a*T, so the maximising coset is that of worst_a.
+    coset = {report.worst_a * x % p for x in t}
+    assert report.worst_a == min(coset)
+    assert profile.f_abs[report.worst_a] == pytest.approx(profile.f_abs[1:].max(), rel=1e-12)
+    scale = math.sqrt(p) * t.card
+    assert (profile.f_abs[1 : report.worst_a] / scale < report.max_ratio - expsums._BILINEAR_TOLERANCE).all()
+    assert report.worst_a == 2
 
 
 def test_compute_J():

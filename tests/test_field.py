@@ -13,12 +13,18 @@ from recipsums import (
     primes_up_to,
 )
 from recipsums import field as field_module, sets
-from recipsums.field import recip_power_fermat
 from recipsums.intmath import inv_mod
 
 
 def brute_inverse(y: int, p: int) -> int:
     return next(z for z in range(1, p) if y * z % p == 1)
+
+
+def recip_power_fermat(x: int, k: int, field: PrimeField) -> int:
+    """Cross-check path: 1/x^k computed as x^{k(p-2)} mod p."""
+    if x % field.p == 0:
+        raise NotInvertible(f"{x} is divisible by {field.p}")
+    return pow(pow(x, k, field.p), field.p - 2, field.p)
 
 
 def test_make_field():
