@@ -24,24 +24,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# The one BLAS call (a length-p dot product in expsums) gains nothing from a
-# second thread, and OpenBLAS's idle worker costs every start CPU time. This
-# has to run before numpy's first import; a value the caller set still wins.
+# No numpy call here uses BLAS, and OpenBLAS's idle worker thread costs every
+# start CPU time. This has to run before numpy's first import; a value the
+# caller set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only the representation layer, which needs no numpy, is imported here; each
-# other subcommand imports its own layer when it runs, so --version,
-# represent, nmax and scan start without numpy.
+# other subcommand imports its own layer, and csv, dataclasses and random,
+# when it runs, so --version, represent, nmax and scan start without them.
 from . import __version__  # noqa: E402 - the package itself imports nothing heavy
 from .errors import Error  # noqa: E402
 from .field import PrimeField, require_dense  # noqa: E402
@@ -168,9 +165,17 @@ def _render_text(doc: dict) -> str:
 
 
 def _write_csv(rows: list[dict], fh) -> None:
+    import csv
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(["" if row.get(col) is None else row[col] for col in CSV_COLUMNS] for row in rows)
+
+
+def _asdict(report) -> dict:
+    import dataclasses  # loaded only by the subcommands that print a report dataclass
+
+    return dataclasses.asdict(report)
 
 
 def _emit(doc: dict, fh) -> None:
@@ -234,8 +239,8 @@ def _cmd_grow(args) -> tuple[dict, dict]:
     cfg = GrowthConfig(threshold_exponent=args.threshold_exponent, max_iters=args.max_iters)
     final, trace = grow_until(base, cfg, spec.tuple_length, args.beta)
     result = {
-        "base": {"u": spec.tuple_length, **dataclasses.asdict(report)},
-        "steps": [dataclasses.asdict(s) for s in trace.steps],
+        "base": {"u": spec.tuple_length, **_asdict(report)},
+        "steps": [_asdict(s) for s in trace.steps],
         "n": trace.n,
         "final_size": final.card,
         "threshold_exponent": cfg.threshold_exponent,
@@ -260,6 +265,8 @@ def _cmd_grow(args) -> tuple[dict, dict]:
 
 
 def _build_expsum_set(args) -> tuple[ResidueSet, dict]:
+    import random
+
     from .basesets import BaseSetSpec, build_prime_reciprocal_set
     from .growth import GrowthConfig, grow_until
     from .sets import ResidueSet
@@ -304,7 +311,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
         "h0": float(profile.set_size),
         "f0": profile.f0,
         "parseval_relative_error": profile.parseval_relative_error,
-        "bilinear": dataclasses.asdict(bilinear),
+        "bilinear": _asdict(bilinear),
     }
     j = args.J
     if args.auto_J:
@@ -313,7 +320,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
             raise Error(f"--auto-J needs |T| > sqrt(p); |T| = {t.card}, p = {t.field.p}")
         j = diagnostics["auto_J"] = compute_J(excess)
     if j is not None:
-        result["covering"] = dataclasses.asdict(check_covering_positivity(t, j))
+        result["covering"] = _asdict(check_covering_positivity(t, j))
     if args.min_J:
         result["minimal_J"] = minimal_covering_J(t, j_cap=args.min_J_cap)
     return result, diagnostics
@@ -325,7 +332,7 @@ def _cmd_baseset(args) -> tuple[dict, dict]:
     field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     members, report = build_prime_reciprocal_set(spec)
-    result = {"u": spec.tuple_length, **dataclasses.asdict(report)}
+    result = {"u": spec.tuple_length, **_asdict(report)}
     if args.list_members:
         result["members"] = members.to_list()
     return result, {}
@@ -339,7 +346,7 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
     result: dict = {"bound": args.bound, "size": len(smooth)}
     if args.epsilon is not None and args.theta is not None:
         report = check_multiplicative_conditions(smooth, field, args.epsilon, args.theta)
-        conditions = result["conditions"] = dataclasses.asdict(report)
+        conditions = result["conditions"] = _asdict(report)
         del conditions["closure_counterexample"]
     if args.list_members:
         result["members"] = list(smooth)
@@ -350,13 +357,21 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
 # parser wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The command-line parser. Every subcommand is registered, so help,
+    usage and invalid-choice messages list them all, but only those named in
+    commands (all of them when None) get their arguments."""
     parser = argparse.ArgumentParser(
         prog="recipsums",
         description="Reciprocal-power sums, sum-product growth, and covering counts mod p.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name: str, help_text: str):
+        """name's subparser, or None when its arguments are not wanted."""
+        sp = sub.add_parser(name, help=help_text)
+        return sp if commands is None or name in commands else None
 
     def add_common(sp):
         sp.add_argument("--output", "-o", help="write the report to this path instead of stdout")
@@ -367,72 +382,72 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (csv is valid for scan only)",
         )
 
-    sp = sub.add_parser("represent", help="minimal N and witness for one residue")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--epsilon", type=rational, required=True)
-    sp.add_argument("--a", type=int, required=True, help="target residue")
-    sp.add_argument("--oracle", action="store_true", help="cross-check with exhaustive search")
-    add_common(sp)
+    if sp := add_parser("represent", "minimal N and witness for one residue"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--epsilon", type=rational, required=True)
+        sp.add_argument("--a", type=int, required=True, help="target residue")
+        sp.add_argument("--oracle", action="store_true", help="cross-check with exhaustive search")
+        add_common(sp)
 
-    sp = sub.add_parser("nmax", help="minimal-N profile over all residues")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--epsilon", type=rational, required=True)
-    sp.add_argument("--oracle", action="store_true")
-    add_common(sp)
+    if sp := add_parser("nmax", "minimal-N profile over all residues"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--epsilon", type=rational, required=True)
+        sp.add_argument("--oracle", action="store_true")
+        add_common(sp)
 
-    sp = sub.add_parser("scan", help="nmax rows over a prime range")
-    sp.add_argument("--primes", type=prime_range, required=True, help="inclusive range, e.g. 2..499")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--epsilon", type=rational, required=True)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument(
-        "--timing",
-        action="store_true",
-        help="report wall-clock per row (makes output non-reproducible)",
-    )
-    add_common(sp)
+    if sp := add_parser("scan", "nmax rows over a prime range"):
+        sp.add_argument("--primes", type=prime_range, required=True, help="inclusive range, e.g. 2..499")
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--epsilon", type=rational, required=True)
+        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument(
+            "--timing",
+            action="store_true",
+            help="report wall-clock per row (makes output non-reproducible)",
+        )
+        add_common(sp)
 
-    sp = sub.add_parser("grow", help="base set plus sum-product growth run")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--beta", type=rational, required=True)
-    sp.add_argument("--u", type=int, default=None, help="override the tuple length")
-    sp.add_argument("--threshold-exponent", type=rational, default=Fraction(2, 3))
-    sp.add_argument("--max-iters", type=int, default=64)
-    add_common(sp)
+    if sp := add_parser("grow", "base set plus sum-product growth run"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--beta", type=rational, required=True)
+        sp.add_argument("--u", type=int, default=None, help="override the tuple length")
+        sp.add_argument("--threshold-exponent", type=rational, default=Fraction(2, 3))
+        sp.add_argument("--max-iters", type=int, default=64)
+        add_common(sp)
 
-    sp = sub.add_parser("expsum", help="exponential sums and covering counts for a set T")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--members", type=int_list, default=None, help="explicit T, e.g. 1,2,4")
-    sp.add_argument("--random-size", type=int, default=None, help="|T| for a seeded random T")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grow", action="store_true", help="take T from a growth run")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--beta", type=rational, default=Fraction(1, 4))
-    sp.add_argument("--u", type=int, default=None)
-    sp.add_argument("--J", type=int, default=None, help="covering count exponent")
-    sp.add_argument("--auto-J", action="store_true", help="derive J from the size of T")
-    sp.add_argument("--min-J", action="store_true", help="search for the minimal covering J")
-    sp.add_argument("--min-J-cap", type=int, default=64)
-    add_common(sp)
+    if sp := add_parser("expsum", "exponential sums and covering counts for a set T"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--members", type=int_list, default=None, help="explicit T, e.g. 1,2,4")
+        sp.add_argument("--random-size", type=int, default=None, help="|T| for a seeded random T")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--grow", action="store_true", help="take T from a growth run")
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--beta", type=rational, default=Fraction(1, 4))
+        sp.add_argument("--u", type=int, default=None)
+        sp.add_argument("--J", type=int, default=None, help="covering count exponent")
+        sp.add_argument("--auto-J", action="store_true", help="derive J from the size of T")
+        sp.add_argument("--min-J", action="store_true", help="search for the minimal covering J")
+        sp.add_argument("--min-J-cap", type=int, default=64)
+        add_common(sp)
 
-    sp = sub.add_parser("baseset", help="prime reciprocal-power base set")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--beta", type=rational, required=True)
-    sp.add_argument("--u", type=int, default=None)
-    sp.add_argument("--list-members", action="store_true")
-    add_common(sp)
+    if sp := add_parser("baseset", "prime reciprocal-power base set"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--beta", type=rational, required=True)
+        sp.add_argument("--u", type=int, default=None)
+        sp.add_argument("--list-members", action="store_true")
+        add_common(sp)
 
-    sp = sub.add_parser("smoothset", help="smooth multiplicative set and its conditions")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--epsilon", type=rational, default=None)
-    sp.add_argument("--theta", type=rational, default=None)
-    sp.add_argument("--list-members", action="store_true")
-    add_common(sp)
+    if sp := add_parser("smoothset", "smooth multiplicative set and its conditions"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--bound", type=int, required=True)
+        sp.add_argument("--epsilon", type=rational, default=None)
+        sp.add_argument("--theta", type=rational, default=None)
+        sp.add_argument("--list-members", action="store_true")
+        add_common(sp)
 
     return parser
 
@@ -456,7 +471,10 @@ def _config_dict(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so its first positional
+    # word names the subcommand, and only that one gets its arguments built.
+    parser = build_parser({next((arg for arg in argv if not arg.startswith("-")), None)})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -241,8 +241,8 @@ def _fourier_ranking(t: ResidueSet, j: int) -> tuple[np.ndarray, float, int] | N
     x_abs = np.abs(x)
     power_err = j * delta * (x_abs + delta) ** (j - 1) + 3 * (j - 1) * _U * x_abs**j
     eps = (
-        (_dft_error(p) + 3 * _U) * float(weights @ np.abs(g))
-        + float(weights @ power_err)
+        (_dft_error(p) + 3 * _U) * float(np.sum(weights * np.abs(g)))
+        + float(np.sum(weights * power_err))
         + 2.0**-1000 * p * j
     )
     e = np.fft.irfft(g, n=p) * p

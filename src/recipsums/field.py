@@ -13,7 +13,6 @@ does not use it, runs without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -34,15 +33,42 @@ def require_dense(n: int) -> None:
         raise ValueError(f"{n} exceeds the dense-modulus ceiling {DENSE_P_MAX}: (p - 1)**2 < 2**63")
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class _Value:
+    """A value object, as a frozen dataclass would make it without importing
+    dataclasses: the fields are set once, by __init__, through vars(self);
+    it compares, hashes and prints by them, and refuses assignment. A
+    cached_property still caches, as it writes vars(self) too."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimeField(_Value):
     """The field Z/pZ for a prime modulus p."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        vars(self)["p"] = p
 
     def recip_power(self, x: int, k: int) -> int:
         """(x**k)^{-1} mod p as an integer, for p not dividing x, k >= 1."""

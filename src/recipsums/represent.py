@@ -3,7 +3,9 @@
 Admissible bases are integers 1 <= x <= floor(p^epsilon) not divisible by
 p, and G is the set of their reciprocal k-th powers. The inverses of all
 bases come from the recurrence inv(x) = -(p // x) * inv(p mod x) mod p,
-one step per base, and each is then raised to the k-th power. The minimal
+one step per base, and each is then raised to the k-th power. When the
+bases fill (Z/pZ)* and gcd(k, p - 1) = 1, G is all of (Z/pZ)*, and only
+backtracking computes the inverses. The minimal
 N of a residue r is its breadth-first distance from 0 in the Cayley
 digraph of Z/pZ with generators G (r = 0 itself needs at least one step).
 Every residue is reached within p steps because x = 1 is always admissible
@@ -38,30 +40,27 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 
 from .errors import Error
-from .field import PrimeField, require_dense
+from .field import PrimeField, _Value, require_dense
 from .intmath import pow_floor
 
 
-@dataclass(frozen=True)
-class ReprProblem:
+class ReprProblem(_Value):
     """A representation problem: modulus, power k, and height exponent."""
 
-    field: PrimeField
-    k: int
-    epsilon: Fraction
+    _fields = ("field", "k", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, field: PrimeField, k: int, epsilon: Fraction) -> None:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if not (0 < self.epsilon <= 1):
+        if not (0 < epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
-        require_dense(self.field.p)
+        require_dense(field.p)
+        vars(self).update(field=field, k=k, epsilon=epsilon)
 
     @cached_property
     def height(self) -> int:
@@ -94,19 +93,17 @@ class ReprProblem:
         return _layer_table(self)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """A verified representation target = sum of reciprocal k-th powers."""
 
-    problem: ReprProblem
-    target: int
-    xs: tuple[int, ...]
+    _fields = ("problem", "target", "xs")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.target < self.problem.field.p:
-            raise ValueError(f"target {self.target} out of range [0, {self.problem.field.p - 1}]")
-        if not check_representation(self.xs, self.target, self.problem):
-            raise ValueError(f"witness {self.xs} does not represent {self.target}")
+    def __init__(self, problem: ReprProblem, target: int, xs: tuple[int, ...]) -> None:
+        if not 0 <= target < problem.field.p:
+            raise ValueError(f"target {target} out of range [0, {problem.field.p - 1}]")
+        if not check_representation(xs, target, problem):
+            raise ValueError(f"witness {xs} does not represent {target}")
+        vars(self).update(problem=problem, target=target, xs=xs)
 
     @property
     def n(self) -> int:
@@ -189,7 +186,7 @@ def _layer_table(problem: ReprProblem) -> LayerTable:
     except MemoryError:  # in numpy's words for an allocation it cannot make
         message = f"Unable to allocate {4 * p / 2**30:.1f} GiB for an array with shape ({p},) and data type uint32"
         raise MemoryError(message) from None
-    gens, front, flags = _level_one(problem.reciprocals, p)
+    gens, front, flags = _level_one(problem, p)
     base, h, mask = _Base(gens, front, p), front.bit_count(), (1 << p) - 1
     frontier, unreached = gens, mask ^ front
     in_bits = in_index = True
@@ -260,14 +257,23 @@ def _hold(planes: list[int], held: list[tuple[int, list[int]]], p: int) -> int:
     return union
 
 
-def _level_one(recips: tuple[int, ...], p: int) -> tuple[list[int] | tuple[int, ...], int, bytearray]:
+def _fills_group(problem: ReprProblem, p: int) -> bool:
+    """Whether G is all of (Z/pZ)*: the bases fill it, and x -> 1/x^k permutes it."""
+    return len(problem.admissible) == p - 1 and math.gcd(problem.k, p - 1) == 1
+
+
+def _level_one(problem: ReprProblem, p: int) -> tuple[list[int] | tuple[int, ...] | range, int, bytearray]:
     """The generators as the kernels run through them, the bitmap of G and
-    its flags, one byte per residue. A few bases are sorted into G ascending.
-    Many are flagged, and C code reads the flags as binary digits; the
-    kernels then run through the reciprocals in the order of their bases,
-    where a residue that several bases share repeats, as sorting them would
-    cost more than the repeats do."""
-    flags = bytearray(p)
+    its flags, one byte per residue. When G is all of (Z/pZ)*, no reciprocal
+    is computed. Otherwise a few bases are sorted into G ascending. Many are flagged, and C code reads the flags as binary
+    digits; the kernels then run through the reciprocals in the order of
+    their bases, where a residue that several bases share repeats, as
+    sorting them would cost more than the repeats do."""
+    if _fills_group(problem, p):
+        flags = bytearray(b"\x01") * p
+        flags[0] = 0
+        return range(1, p), (1 << p) - 2, flags
+    recips, flags = problem.reciprocals, bytearray(p)
     if 16 * len(recips) < p:
         gens = sorted(set(recips))
         for g in gens:
@@ -282,7 +288,7 @@ class _Base:
     """G as the kernels read it: the generators in the order they run through
     them, its bitmap and, made on first use, the bitmap of -G."""
 
-    def __init__(self, gens: list[int] | tuple[int, ...], bits: int, p: int):
+    def __init__(self, gens: list[int] | tuple[int, ...] | range, bits: int, p: int):
         self.gens, self.bits, self.p = gens, bits, p
 
     @cached_property
@@ -538,6 +544,32 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
     return row
 
 
+# A scan row costs at least _ROW_NS and, unless G is all of (Z/pZ)*, a
+# price per residue: _RESIDUE_NS[0], or _RESIDUE_NS[1] / H for a small
+# height H, whose BFS runs deep. This is a lower envelope of row timings at
+# p = 10^3 to 10^6 (2 shared vCPUs, Python 3.11), so a pool that the price
+# calls worthwhile is. Importing and starting the pool costs _POOL_NS.
+_ROW_NS = 50_000
+_RESIDUE_NS = (15, 150)
+_POOL_NS = 40_000_000
+
+
+def _pool_size(args: list[tuple[int, int, Fraction, bool]], workers: int) -> int:
+    """The processes that run the rows: at most workers, one per row and per
+    CPU (a fork-started pool starts all of them up front), and 1 unless the
+    priced work they take off this process repays the pool's start."""
+    workers = min(workers, len(args), os.cpu_count() or 1)
+    if workers < 2:
+        return 1
+    work = 0.0
+    for p, k, epsilon, _ in args:
+        h = max(p, 1) ** float(epsilon)  # the height, near enough to price the row
+        work += _ROW_NS
+        if h < p - 1 or math.gcd(k, p - 1) != 1:
+            work += p * max(_RESIDUE_NS[0], _RESIDUE_NS[1] / h)
+    return workers if work * (1 - 1 / workers) > _POOL_NS else 1
+
+
 def scan(
     primes: list[int],
     k: int,
@@ -547,16 +579,16 @@ def scan(
 ) -> list[dict]:
     """One row per prime: height, base size, n_max (and max_layer, equal to it).
 
-    Rows are ordered by p and identical for any worker count. Wall-clock
-    timing is suppressed (reported as 0) unless explicitly requested, so
-    repeated runs produce byte-identical reports.
+    Rows are ordered by p and identical for any worker count, which is an
+    upper bound: see _pool_size. Wall-clock timing is suppressed (reported
+    as 0) unless explicitly requested, so repeated runs produce
+    byte-identical reports.
     """
     args = [(p, k, epsilon, timing) for p in sorted(primes)]
-    if workers > 1 and len(args) > 1:
+    workers = _pool_size(args, workers)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs start-up time, so only here
 
-        # A fork-started pool starts all max_workers processes up front.
-        workers = min(workers, len(args), os.cpu_count() or 1)
         with ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_scan_row, args, chunksize=max(1, len(args) // (4 * workers))))
     else:

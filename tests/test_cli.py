@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -545,8 +546,9 @@ def test_import_recipsums_leaves_numpy_unloaded():
 
 def test_representation_commands_start_without_numpy():
     """--version, represent, nmax and scan import only the representation
-    layer: no numpy, and none of the layers of the other subcommands; the
-    exhaustive oracle only under --oracle. grow still loads numpy."""
+    layer: no numpy, none of the layers of the other subcommands, and neither
+    dataclasses, csv nor, for a scan too small to repay it, the process pool;
+    the exhaustive oracle only under --oracle. grow still loads numpy."""
     out = _fresh_python(
         "import os, sys\n"
         "from recipsums.cli import main\n"
@@ -560,7 +562,8 @@ def test_representation_commands_start_without_numpy():
         "    'scan --primes 2..200 --k 2 --epsilon 1/2 --workers 2',\n"
         ")]\n"
         "layers = ('numpy', 'recipsums.basesets', 'recipsums.growth', 'recipsums.expsums',\n"
-        "          'recipsums.sets', 'recipsums.convolve', 'recipsums.bruteforce')\n"
+        "          'recipsums.sets', 'recipsums.convolve', 'recipsums.bruteforce',\n"
+        "          'dataclasses', 'csv', 'concurrent.futures')\n"
         "loaded = [name for name in layers if name in sys.modules]\n"
         "main('represent --p 97 --k 2 --epsilon 1/2 --a 13 --oracle'.split())\n"
         "oracle = 'recipsums.bruteforce' in sys.modules and 'numpy' not in sys.modules\n"
@@ -569,6 +572,22 @@ def test_representation_commands_start_without_numpy():
         "print(codes, loaded, oracle, 'numpy' in sys.modules)"
     )
     assert out == "[0, 0, 0, 0, 0] [] True True"
+
+
+def test_parser_builds_only_the_named_subcommand_with_unchanged_help(capsys):
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    full = cli.build_parser()
+    names = list(subparsers(full))
+    assert len(names) == 7
+    assert cli.build_parser(set()).format_help() == full.format_help()
+    for name in names:
+        selective = subparsers(cli.build_parser({name}))
+        assert selective[name].format_help() == subparsers(full)[name].format_help()
+        assert all(len(sp._actions) == 1 for other, sp in selective.items() if other != name)  # only -h
+        assert run_cli(capsys, name, "--help") == (0, subparsers(full)[name].format_help())
+    assert run_cli(capsys, "--help") == (0, full.format_help())
 
 
 def test_cli_sets_one_blas_thread_unless_told_otherwise():

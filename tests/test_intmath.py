@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from recipsums import intmath
 from recipsums.intmath import (
     exceeds_power,
     inv_mod,
@@ -26,6 +27,30 @@ def test_is_prime_strong_pseudoprimes():
         assert not is_prime(n)
     for n in [2**31 - 1, 2**61 - 1, 1000003, 67280421310721]:
         assert is_prime(n)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_at_each_bound():
+    # Each bound is the least composite that passes the bases below it, so
+    # the first one it is tested with must reject it.
+    bounds = [bound for bound, _ in intmath._MR_PREFIXES]
+    assert bounds == [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                      341550071728321, 3825123056546413051]
+    for bound, count in intmath._MR_PREFIXES:
+        assert all(is_strong_probable_prime(bound, a) for a in intmath._MR_WITNESSES[:count])
+        assert not is_prime(bound)
+
+
+def test_is_prime_agrees_with_the_sieve():
+    limit = 200_000
+    assert [n for n in range(limit) if is_prime(n)] == primes_between(0, limit - 1)
 
 
 def test_is_prime_refuses_uncertified_verdict():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 import weakref
@@ -209,6 +210,27 @@ def test_reciprocals_match_scalar_oracle(monkeypatch):
     table = build_layer_table(pr)
     assert level_one(table) == base_reciprocals(pr).to_list()
     assert calls == []
+
+
+def test_full_group_path_matches_the_generic_path(monkeypatch):
+    """At epsilon = 1 with gcd(k, p - 1) = 1, G is all of (Z/pZ)*: the table
+    is built without a reciprocal, and matches the one built from them."""
+    tables = {}
+    for fills in (True, False):
+        if not fills:
+            monkeypatch.setattr(represent, "_fills_group", lambda problem, p: False)
+        for p in primes_up_to(2000):
+            for k in (1, 2, 3):
+                pr = problem(p, k, Fraction(1, 1))
+                table = build_layer_table(pr)
+                tables.setdefault((p, k), []).append((table.depth, table.base_size, table.coverage.tolist()))
+                computed = "reciprocals" in vars(pr)
+                assert computed == (not fills or math.gcd(k, p - 1) > 1)
+    assert all(full == generic for full, generic in tables.values())
+    assert sum(math.gcd(k, p - 1) == 1 for p, k in tables) == 459  # k = 1, p = 2 and half of k = 3
+    pr = problem(1009, 1, Fraction(1, 1))
+    w = min_terms(0, pr)  # backtracking computes the reciprocals it reads
+    assert (w.n, w.xs) == (2, (1, 1008)) and "reciprocals" in vars(pr)
 
 
 KERNELS = (represent._push, represent._pull, represent._shift)
@@ -523,6 +545,30 @@ def test_witness_construction_validates():
         Witness(problem=pr, target=3, xs=(1, 1))
 
 
+def test_fields_problems_and_witnesses_are_read_only_values():
+    from recipsums import Witness
+
+    field = PrimeField(101)
+    pr = ReprProblem(field, 2, Fraction(1, 2))
+    same = ReprProblem(field=PrimeField(p=101), k=2, epsilon=Fraction(1, 2))
+    assert field == PrimeField(101) != PrimeField(103) and field != 101
+    assert pr == same and hash(pr) == hash(same) and len({pr, same, field}) == 2
+    assert pr != ReprProblem(field, 1, Fraction(1, 2))
+    assert repr(pr) == "ReprProblem(field=PrimeField(p=101), k=2, epsilon=Fraction(1, 2))"
+    assert pr.height == 10 and vars(pr)["height"] == 10  # a cached_property still caches
+    w = min_terms(5, pr)
+    assert w == Witness(problem=same, target=w.target, xs=w.xs) and hash(w) == hash(Witness(pr, w.target, w.xs))
+    for obj, name in ((field, "p"), (pr, "k"), (pr, "height"), (w, "xs"), (w, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (field.p, pr.k, pr.height, w.xs) == (101, 2, 10, min_terms(5, pr).xs)
+    for k, epsilon in ((0, Fraction(1, 2)), (1, Fraction(0)), (1, Fraction(3, 2))):
+        with pytest.raises(ValueError):
+            ReprProblem(field, k, epsilon)
+
+
 def test_witness_target_is_a_reduced_int():
     from recipsums import Witness
 
@@ -557,7 +603,8 @@ def test_scan_records_row_errors_and_continues():
     assert rows[1]["n_max"] is None
 
 
-def test_scan_worker_independence():
+def test_scan_worker_independence(monkeypatch):
+    monkeypatch.setattr(represent, "_POOL_NS", 0)  # every pool pays
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     sequential = scan(primes, 2, Fraction(1, 2), workers=1)
     parallel = scan(primes, 2, Fraction(1, 2), workers=4)
@@ -583,14 +630,38 @@ def test_scan_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     primes = [2, 3, 5, 7, 11]
     expected = scan(primes, 1, Fraction(1, 1))
-    for cpus, workers, size in [(64, 100000, 5), (3, 100000, 3), (None, 100000, 1), (64, 2, 2)]:
+    monkeypatch.setattr(represent.os, "cpu_count", lambda: 64)
+    assert scan(primes, 1, Fraction(1, 1), workers=100000) == expected
+    assert sizes == []  # five tiny rows do not repay a pool's start
+    monkeypatch.setattr(represent, "_POOL_NS", 0)  # every pool pays
+    # A pool of one process is the serial loop, so none is started.
+    for cpus, workers, size in [(64, 100000, 5), (3, 100000, 3), (None, 100000, None), (64, 2, 2), (64, 1, None)]:
         monkeypatch.setattr(represent.os, "cpu_count", lambda: cpus)
         assert scan(primes, 1, Fraction(1, 1), workers=workers) == expected
-        assert sizes.pop() == size
+        assert (sizes.pop() if sizes else None) == size
+
+
+def test_scan_starts_a_pool_only_where_it_pays(monkeypatch):
+    monkeypatch.setattr(represent.os, "cpu_count", lambda: 2)
+
+    def pool_size(lo, hi, k, epsilon, workers=2):
+        args = [(p, k, epsilon, False) for p in primes_up_to(hi) if p >= lo]
+        return represent._pool_size(args, workers)
+
+    # The benchmark's pooled command: about 50 ms of rows, which a pool slows.
+    assert pool_size(199, 4199, 3, Fraction(1, 3)) == 1
+    # A full group costs next to nothing per row, at any p.
+    assert pool_size(99_000, 101_000, 1, Fraction(1, 1)) == 1
+    # Rows of 1-3 ms each, or a deep BFS: the pool repays its start.
+    assert pool_size(99_000, 101_000, 2, Fraction(1, 2)) == 2
+    assert pool_size(2, 20_000, 3, Fraction(1, 3)) == 2
+    assert pool_size(2, 4002, 2, Fraction(1, 8)) == 2
+    assert pool_size(2, 20_000, 3, Fraction(1, 3), workers=1) == 1
 
 
 def test_scan_chunked_pool_matches_serial(monkeypatch):
     monkeypatch.setattr(represent.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(represent, "_POOL_NS", 0)  # every pool pays
     numbers = list(range(2, 152))  # 150 integers, composites inside every chunk
     serial = scan(numbers, 2, Fraction(1, 2))
     assert scan(numbers, 2, Fraction(1, 2), workers=2) == serial

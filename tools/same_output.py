@@ -12,10 +12,11 @@ machine. The list is the 45 benchmark workload commands
 (``perfbench/workloads.generate`` for each workload and seeds 7, 101 and
 1000), the README examples, and commands that exercise report shapes,
 error paths, target reduction, both covering routes, exact counts past
-4,300 digits, the int64 ceiling, and the deep, wide-base and pooled
-representation tables that CI pins. The tool prints every command whose
-stdout SHA-256 or exit code differs between the checkouts, or whose
-stderr holds a Python traceback, and exits 1 if there is any.
+4,300 digits, the int64 ceiling, the deep, wide-base and pooled
+representation tables that CI pins, help and usage errors, and scans where
+G is all of (Z/pZ)* or not. The tool prints every command whose stdout
+SHA-256, stderr SHA-256 or exit code differs between the checkouts, or
+whose stderr holds a Python traceback, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ scan --primes 2..4002 --k 3 --epsilon 1/3 --workers 2
 scan --primes 2..4002 --k 2 --epsilon 1/8
 nmax --p 1000003 --k 1 --epsilon 1/6
 baseset --p 1000003 --k 2 --beta 9/10 --u 1 --list-members
+--help
+scan --help
+nosuchcommand --p 7
+scan --primes 2..600 --k 1 --epsilon 1/1
+scan --primes 2..600 --k 2 --epsilon 1/1
+scan --primes 2..600 --k 3 --epsilon 1/1
 """
 
 
@@ -113,8 +120,9 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[str, int, bool]:
-    """(stdout SHA-256, exit code, whether stderr holds a traceback) of one child."""
+def run(checkout: Path, argv: list[str]) -> tuple[str, int, str, bool]:
+    """(stdout SHA-256, exit code, stderr SHA-256, whether stderr holds a
+    traceback) of one child."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     child = subprocess.run(
         [sys.executable, "-m", "recipsums", *argv],
@@ -124,7 +132,8 @@ def run(checkout: Path, argv: list[str]) -> tuple[str, int, bool]:
         preexec_fn=_limit_address_space if sys.platform.startswith("linux") else None,
     )
     traceback = b"Traceback (most recent call last)" in child.stderr
-    return hashlib.sha256(child.stdout).hexdigest(), child.returncode, traceback
+    digest = hashlib.sha256(child.stdout).hexdigest(), child.returncode, hashlib.sha256(child.stderr).hexdigest()
+    return (*digest, traceback)
 
 
 def main() -> int:
@@ -137,11 +146,12 @@ def main() -> int:
     for argv in commands:
         base, change = run(args.base.resolve(), argv), run(args.change.resolve(), argv)
         problems = []
-        if base[:2] != change[:2]:
-            problems.append(f"stdout {base[0][:12]} -> {change[0][:12]}, exit {base[1]} -> {change[1]}")
-        if base[2]:
+        if base[:3] != change[:3]:
+            problems.append(f"stdout {base[0][:12]} -> {change[0][:12]}, exit {base[1]} -> {change[1]}, "
+                            f"stderr {base[2][:12]} -> {change[2][:12]}")
+        if base[3]:
             problems.append("traceback in base")
-        if change[2]:
+        if change[3]:
             problems.append("traceback in change")
         if problems:
             bad += 1
