@@ -5,9 +5,9 @@ p, and G is the set of their reciprocal k-th powers. The inverses of all
 bases come from the recurrence inv(x) = -(p // x) * inv(p mod x) mod p,
 one step per base, and each is then raised to the k-th power. When the
 bases fill (Z/pZ)* and gcd(k, p - 1) = 1, G is all of (Z/pZ)*, and only
-backtracking computes the inverses. The minimal
-N of a residue r is its breadth-first distance from 0 in the Cayley
-digraph of Z/pZ with generators G (r = 0 itself needs at least one step).
+backtracking computes the inverses. The minimal N of a residue r is its
+breadth-first distance from 0 in the Cayley digraph of Z/pZ with
+generators G (r = 0 itself needs at least one step).
 Every residue is reached within p steps because x = 1 is always admissible
 (a copies of 1 sum to a).
 
@@ -265,10 +265,11 @@ def _fills_group(problem: ReprProblem, p: int) -> bool:
 def _level_one(problem: ReprProblem, p: int) -> tuple[list[int] | tuple[int, ...] | range, int, bytearray]:
     """The generators as the kernels run through them, the bitmap of G and
     its flags, one byte per residue. When G is all of (Z/pZ)*, no reciprocal
-    is computed. Otherwise a few bases are sorted into G ascending. Many are flagged, and C code reads the flags as binary
-    digits; the kernels then run through the reciprocals in the order of
-    their bases, where a residue that several bases share repeats, as
-    sorting them would cost more than the repeats do."""
+    is computed. Otherwise a few bases are sorted into G ascending. Many
+    are flagged, and C code reads the flags as binary digits; the kernels
+    then run through the reciprocals in the order of their bases, where a
+    residue that several bases share repeats, as sorting them would cost
+    more than the repeats do."""
     if _fills_group(problem, p):
         flags = bytearray(b"\x01") * p
         flags[0] = 0
