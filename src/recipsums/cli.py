@@ -37,8 +37,9 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only the representation layer, which needs no numpy, is imported here; each
-# other subcommand imports its own layer, and csv, dataclasses and random,
-# when it runs, so --version, represent, nmax and scan start without them.
+# other subcommand imports its own layer, and csv and random, when it runs,
+# so --version, represent, nmax and scan start without them. The report
+# dataclasses are printed through vars(), so the CLI never loads dataclasses.
 from . import __version__  # noqa: E402 - the package itself imports nothing heavy
 from .errors import Error  # noqa: E402
 from .field import PrimeField, require_dense  # noqa: E402
@@ -172,12 +173,6 @@ def _write_csv(rows: list[dict], fh) -> None:
     writer.writerows(["" if row.get(col) is None else row[col] for col in CSV_COLUMNS] for row in rows)
 
 
-def _asdict(report) -> dict:
-    import dataclasses  # loaded only by the subcommands that print a report dataclass
-
-    return dataclasses.asdict(report)
-
-
 def _emit(doc: dict, fh) -> None:
     fh.writelines(_encode(doc))
     fh.write("\n")
@@ -239,8 +234,8 @@ def _cmd_grow(args) -> tuple[dict, dict]:
     cfg = GrowthConfig(threshold_exponent=args.threshold_exponent, max_iters=args.max_iters)
     final, trace = grow_until(base, cfg, spec.tuple_length, args.beta)
     result = {
-        "base": {"u": spec.tuple_length, **_asdict(report)},
-        "steps": [_asdict(s) for s in trace.steps],
+        "base": {"u": spec.tuple_length, **vars(report)},
+        "steps": [vars(s) for s in trace.steps],
         "n": trace.n,
         "final_size": final.card,
         "threshold_exponent": cfg.threshold_exponent,
@@ -311,7 +306,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
         "h0": float(profile.set_size),
         "f0": profile.f0,
         "parseval_relative_error": profile.parseval_relative_error,
-        "bilinear": _asdict(bilinear),
+        "bilinear": vars(bilinear),
     }
     j = args.J
     if args.auto_J:
@@ -320,7 +315,7 @@ def _cmd_expsum(args) -> tuple[dict, dict]:
             raise Error(f"--auto-J needs |T| > sqrt(p); |T| = {t.card}, p = {t.field.p}")
         j = diagnostics["auto_J"] = compute_J(excess)
     if j is not None:
-        result["covering"] = _asdict(check_covering_positivity(t, j))
+        result["covering"] = vars(check_covering_positivity(t, j))
     if args.min_J:
         result["minimal_J"] = minimal_covering_J(t, j_cap=args.min_J_cap)
     return result, diagnostics
@@ -332,7 +327,7 @@ def _cmd_baseset(args) -> tuple[dict, dict]:
     field = PrimeField(args.p)
     spec = BaseSetSpec(field, args.k, args.beta, u=args.u)
     members, report = build_prime_reciprocal_set(spec)
-    result = {"u": spec.tuple_length, **_asdict(report)}
+    result = {"u": spec.tuple_length, **vars(report)}
     if args.list_members:
         result["members"] = members.to_list()
     return result, {}
@@ -346,7 +341,7 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
     result: dict = {"bound": args.bound, "size": len(smooth)}
     if args.epsilon is not None and args.theta is not None:
         report = check_multiplicative_conditions(smooth, field, args.epsilon, args.theta)
-        conditions = result["conditions"] = _asdict(report)
+        conditions = result["conditions"] = dict(vars(report))
         del conditions["closure_counterexample"]
     if args.list_members:
         result["members"] = list(smooth)
@@ -358,9 +353,8 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
 
 
 def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The command-line parser. Every subcommand is registered, so help,
-    usage and invalid-choice messages list them all, but only those named in
-    commands (all of them when None) get their arguments."""
+    """The command-line parser. Help and usage list every subcommand, but only
+    those named in commands (all when None) get their arguments built."""
     parser = argparse.ArgumentParser(
         prog="recipsums",
         description="Reciprocal-power sums, sum-product growth, and covering counts mod p.",
@@ -368,19 +362,13 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_text: str):
-        """name's subparser, or None when its arguments are not wanted."""
-        sp = sub.add_parser(name, help=help_text)
-        return sp if commands is None or name in commands else None
+    built = []  # the subparsers that get their arguments
 
-    def add_common(sp):
-        sp.add_argument("--output", "-o", help="write the report to this path instead of stdout")
-        sp.add_argument(
-            "--format",
-            choices=["json", "csv", "text"],
-            default="json",
-            help="output format (csv is valid for scan only)",
-        )
+    def add_parser(name: str, help_text: str):
+        sp = sub.add_parser(name, help=help_text)
+        if commands is None or name in commands:
+            built.append(sp)
+            return sp
 
     if sp := add_parser("represent", "minimal N and witness for one residue"):
         sp.add_argument("--p", type=int, required=True)
@@ -388,14 +376,12 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         sp.add_argument("--epsilon", type=rational, required=True)
         sp.add_argument("--a", type=int, required=True, help="target residue")
         sp.add_argument("--oracle", action="store_true", help="cross-check with exhaustive search")
-        add_common(sp)
 
     if sp := add_parser("nmax", "minimal-N profile over all residues"):
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--epsilon", type=rational, required=True)
         sp.add_argument("--oracle", action="store_true")
-        add_common(sp)
 
     if sp := add_parser("scan", "nmax rows over a prime range"):
         sp.add_argument("--primes", type=prime_range, required=True, help="inclusive range, e.g. 2..499")
@@ -407,7 +393,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
             action="store_true",
             help="report wall-clock per row (makes output non-reproducible)",
         )
-        add_common(sp)
 
     if sp := add_parser("grow", "base set plus sum-product growth run"):
         sp.add_argument("--p", type=int, required=True)
@@ -416,7 +401,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         sp.add_argument("--u", type=int, default=None, help="override the tuple length")
         sp.add_argument("--threshold-exponent", type=rational, default=Fraction(2, 3))
         sp.add_argument("--max-iters", type=int, default=64)
-        add_common(sp)
 
     if sp := add_parser("expsum", "exponential sums and covering counts for a set T"):
         sp.add_argument("--p", type=int, required=True)
@@ -431,7 +415,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         sp.add_argument("--auto-J", action="store_true", help="derive J from the size of T")
         sp.add_argument("--min-J", action="store_true", help="search for the minimal covering J")
         sp.add_argument("--min-J-cap", type=int, default=64)
-        add_common(sp)
 
     if sp := add_parser("baseset", "prime reciprocal-power base set"):
         sp.add_argument("--p", type=int, required=True)
@@ -439,7 +422,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=rational, required=True)
         sp.add_argument("--u", type=int, default=None)
         sp.add_argument("--list-members", action="store_true")
-        add_common(sp)
 
     if sp := add_parser("smoothset", "smooth multiplicative set and its conditions"):
         sp.add_argument("--p", type=int, required=True)
@@ -447,8 +429,15 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         sp.add_argument("--epsilon", type=rational, default=None)
         sp.add_argument("--theta", type=rational, default=None)
         sp.add_argument("--list-members", action="store_true")
-        add_common(sp)
 
+    for sp in built:  # after each subcommand's own arguments, as help lists them
+        sp.add_argument("--output", "-o", help="write the report to this path instead of stdout")
+        sp.add_argument(
+            "--format",
+            choices=["json", "csv", "text"],
+            default="json",
+            help="output format (csv is valid for scan only)",
+        )
     return parser
 
 

@@ -34,10 +34,8 @@ def require_dense(n: int) -> None:
 
 
 class _Value:
-    """A value object, as a frozen dataclass would make it without importing
-    dataclasses: the fields are set once, by __init__, through vars(self);
-    it compares, hashes and prints by them, and refuses assignment. A
-    cached_property still caches, as it writes vars(self) too."""
+    """Fields set once, through vars(self), then compared, hashed and printed
+    by value and read-only: a frozen dataclass without importing dataclasses."""
 
     _fields: tuple[str, ...] = ()
 
@@ -53,11 +51,10 @@ class _Value:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
 
 class PrimeField(_Value):

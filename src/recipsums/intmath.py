@@ -16,13 +16,11 @@ from itertools import compress
 # pseudoprime to all of them; every 64-bit integer lies below it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_CERTIFIED_BELOW = 318665857834031151167461
-# (bound, m): the first m bases give a deterministic verdict below bound, the
-# smallest strong pseudoprime to all of them (Jaeschke, Math. Comp. 61 (1993);
-# Sorenson and Webster, Math. Comp. 86 (2017)); larger n take all twelve.
-_MR_PREFIXES = (
-    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
-    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
-)
+# (bound, m): below bound, the least strong pseudoprime to the first m bases,
+# those m decide (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster,
+# Math. Comp. 86 (2017)). Larger n take all twelve.
+_MR_PREFIXES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9))
 
 
 def is_prime(n: int) -> bool:

@@ -545,29 +545,25 @@ def _scan_row(args: tuple[int, int, Fraction, bool]) -> dict:
     return row
 
 
-# A scan row costs at least _ROW_NS and, unless G is all of (Z/pZ)*, a
-# price per residue: _RESIDUE_NS[0], or _RESIDUE_NS[1] / H for a small
-# height H, whose BFS runs deep. This is a lower envelope of row timings at
-# p = 10^3 to 10^6 (2 shared vCPUs, Python 3.11), so a pool that the price
-# calls worthwhile is. Importing and starting the pool costs _POOL_NS.
-_ROW_NS = 50_000
-_RESIDUE_NS = (15, 150)
-_POOL_NS = 40_000_000
+# A scan row costs at least _ROW_NS and, unless G is all of (Z/pZ)*, a price
+# per residue: _RESIDUE_NS[0], or _RESIDUE_NS[1] / H for a small height H,
+# whose BFS runs deep. That is a lower envelope of row times at p = 10^3 to
+# 10^6 (2 shared vCPUs, Python 3.11); importing and starting a pool costs _POOL_NS.
+_ROW_NS, _RESIDUE_NS, _POOL_NS = 50_000, (15, 150), 40_000_000
 
 
 def _pool_size(args: list[tuple[int, int, Fraction, bool]], workers: int) -> int:
-    """The processes that run the rows: at most workers, one per row and per
-    CPU (a fork-started pool starts all of them up front), and 1 unless the
-    priced work they take off this process repays the pool's start."""
+    """How many processes run the rows: at most workers, one per row and per
+    CPU (a fork-started pool starts them all up front), and 1 unless the
+    priced work they take off this process repays their start."""
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers < 2:
         return 1
     work = 0.0
     for p, k, epsilon, _ in args:
         h = max(p, 1) ** float(epsilon)  # the height, near enough to price the row
-        work += _ROW_NS
-        if h < p - 1 or math.gcd(k, p - 1) != 1:
-            work += p * max(_RESIDUE_NS[0], _RESIDUE_NS[1] / h)
+        fills = h >= p - 1 and math.gcd(k, p - 1) == 1
+        work += _ROW_NS + (0 if fills else p * max(_RESIDUE_NS[0], _RESIDUE_NS[1] / h))
     return workers if work * (1 - 1 / workers) > _POOL_NS else 1
 
 
@@ -580,10 +576,9 @@ def scan(
 ) -> list[dict]:
     """One row per prime: height, base size, n_max (and max_layer, equal to it).
 
-    Rows are ordered by p and identical for any worker count, which is an
-    upper bound: see _pool_size. Wall-clock timing is suppressed (reported
-    as 0) unless explicitly requested, so repeated runs produce
-    byte-identical reports.
+    Rows are ordered by p and identical for any worker count, an upper bound
+    (see _pool_size). Wall-clock timing is suppressed (reported as 0) unless
+    explicitly requested, so repeated runs produce byte-identical reports.
     """
     args = [(p, k, epsilon, timing) for p in sorted(primes)]
     workers = _pool_size(args, workers)
