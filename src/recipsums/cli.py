@@ -352,7 +352,7 @@ def _cmd_smoothset(args) -> tuple[dict, dict]:
 # parser wiring
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
+def build_parser(commands: set[str | None] | None = None) -> argparse.ArgumentParser:
     """The command-line parser. Help and usage list every subcommand, but only
     those named in commands (all when None) get their arguments built."""
     parser = argparse.ArgumentParser(
