@@ -157,9 +157,7 @@ _TERM_BOUND_BIT_CAP = 1 << 22
 
 def _tower(u: int, d: int) -> int | None:
     """u**(2**d) exactly, or None when d > 60 or it would have more than
-    _TERM_BOUND_BIT_CAP bits. u <= 1 is its own tower."""
-    if u <= 1:
-        return u
+    _TERM_BOUND_BIT_CAP bits."""
     if d > 60 or (2**d) * u.bit_length() > _TERM_BOUND_BIT_CAP:
         return None
     return u ** (2**d)
@@ -169,9 +167,10 @@ def _tower(u: int, d: int) -> int | None:
 class GrowthTrace:
     """Record of one growth run, with term-complexity bookkeeping.
 
-    After n steps every element is a sum of at most u**(2**n) terms, each
-    term a reciprocal k-th power of a product of at most 2**n integers
-    whose product is at most p**(2**n * beta).
+    After n steps every element is a sum of at most max(u, 2)**(2**n) terms
+    (a sum step doubles the terms, also when u = 1), each term a reciprocal
+    k-th power of a product of at most 2**n integers whose product is at
+    most p**(2**n * beta).
     """
 
     steps: tuple[GrowthStep, ...]
@@ -188,8 +187,8 @@ class GrowthTrace:
 
     @cached_property
     def term_bound(self) -> int | None:
-        """u**(2**n) exactly, or None when flagged as capped."""
-        return _tower(self.u, self.n)
+        """max(u, 2)**(2**n) exactly, or None when flagged as capped."""
+        return _tower(max(self.u, 2), self.n)
 
     @property
     def term_bound_capped(self) -> bool:
@@ -255,18 +254,16 @@ def n_bound(k: int, theta: float) -> float:
 
 
 def term_budget(u: int, k: int, theta: float) -> int:
-    """Exact u**(2**ceil(log(3k)/log(1+theta))) term budget."""
+    """Exact max(u, 2)**(2**ceil(log(3k)/log(1+theta))) term budget."""
     if theta <= 0:
         raise NonPositiveTheta("growth exponent must be > 0")
     if u < 1 or k < 1:
         raise ValueError("u and k must be >= 1")
-    if u == 1:
-        return 1
-    doublings = math.ceil(math.log(3 * k) / math.log(1 + theta))
-    budget = _tower(u, doublings)
+    doublings = math.ceil(math.log(3 * k) / math.log1p(theta))
+    budget = _tower(max(u, 2), doublings)
     if budget is None:
         raise OverflowError(
-            f"term budget u^(2^{doublings}) exceeds {_TERM_BOUND_BIT_CAP} bits; "
+            f"term budget max(u, 2)^(2^{doublings}) exceeds {_TERM_BOUND_BIT_CAP} bits; "
             "theta is too small for an explicit value"
         )
     return budget

@@ -338,7 +338,7 @@ def _flags(bits: int, p: int) -> bytearray:
 
 
 # Cost model of one BFS level, in nanoseconds, fitted to timings of each kernel
-# at p = 10^3 to 10^6 and checked on the tools/bench_bfs.py ladder (2 shared
+# at p = 10^3 to 10^6 and checked on the BFS rungs of tools/bench.py (2 shared
 # vCPUs, Python 3.11).
 _PUSH_NS = (1_500, 70, 60)  # fixed; per sum of a frontier residue and a generator; per residue reached
 _PROBE_NS = 170  # per probe of the pull that finishes a shift

@@ -318,8 +318,11 @@ GOLDEN = {
         "8dde6a2a5315c6de31156b3cd97c6ce292849785aa56a187df5f7e326d0a72e2",
     "scan --primes 2..300 --k 1 --epsilon 1/2 --format csv":
         "bbac9856ed46720e14956eb9d25e5f846748a0bfd12d57b3ddd55e88d94c60b9",
+    # Re-pinned when one-term sums (u = 1) were bounded as if u = 2: three
+    # steps took term_bound and term_budget 1 -> 256, covering_terms_bound
+    # 16 -> 1048576.
     "grow --p 10007 --k 1 --beta 1/4":
-        "43b9483bfb6c48f2838e09a25f542fb882dc60bbe17df611b8f1d151eecba9d3",
+        "7bd15420a601a94d67aee6f28d07d7f6ee2bea43a2d8ce1f2b4f7860eec61fc7",
     # Re-pinned when one rfft of w replaced the h transform and the full fft
     # of w; only float fields moved, each covering count and minimal_J stayed.
     # parseval_relative_error 1.6388768389457216e-16 -> 0.0,

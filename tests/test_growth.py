@@ -253,9 +253,13 @@ def test_term_budget_is_the_trace_term_bound(bits, capped):
 def test_term_budget_of_one_term():
     from recipsums.growth import GrowthStep, GrowthTrace
 
-    assert term_budget(1, 3, 1e-300) == 1  # returns before log(1 + theta) = 0 divides
+    # A sum step doubles an element's terms, so one-term sums are bounded as if u = 2.
+    with pytest.raises(OverflowError):
+        term_budget(1, 3, 1e-300)  # 1 + theta rounds to 1; log1p does not divide by zero
     trace = GrowthTrace(tuple(GrowthStep(SUM, 2, 2, 0.0) for _ in range(64)), u=1, beta=Fraction(1, 8))
-    assert trace.term_bound == 1 and not trace.term_bound_capped
+    assert trace.term_bound is None and trace.term_bound_capped
+    trace = GrowthTrace(tuple(GrowthStep(SUM, 2, 2, 0.0) for _ in range(3)), u=1, beta=Fraction(1, 8))
+    assert trace.term_bound == 2 ** (2**3) == 256 and not trace.term_bound_capped
 
 
 def test_n_bound():
@@ -266,7 +270,7 @@ def test_n_bound():
 
 
 def test_term_budget():
-    assert term_budget(1, 1, 0.5) == 1
+    assert term_budget(1, 1, 0.5) == 256  # ceil(log3/log1.5) = 3, so max(1, 2)^(2^3)
     assert term_budget(2, 1, 1.0) == 16  # ceil(log3/log2) = 2, so 2^(2^2)
     assert term_budget(3, 1, 1.0) == 81
     with pytest.raises(NonPositiveTheta):
