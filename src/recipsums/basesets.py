@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import EmptyBase, NonPositiveU
-from .field import PrimeField, require_dense
+from .field import PrimeField, _bits, _Value, require_dense
 from .intmath import pow_floor, primes_between
 from .sets import ResidueSet
 
@@ -48,8 +45,7 @@ def primes_up_to(bound: int) -> list[int]:
     return primes_between(2, bound)
 
 
-@dataclass(frozen=True)
-class BaseSetSpec:
+class BaseSetSpec(_Value):
     """Parameters for a prime reciprocal-power base set.
 
     beta is the height exponent (primes run up to floor(p^beta)); u
@@ -63,7 +59,8 @@ class BaseSetSpec:
     beta: Fraction
     u: int | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not (0 < self.beta < 1):
             raise ValueError("beta must lie in (0, 1)")
         if self.k < 1:
@@ -86,8 +83,7 @@ class BaseSetSpec:
         return pow_floor(self.field.p, self.beta)
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(_Value):
     tuple_count: int
     set_size: int
     regime_holds: bool  # u * p^((2u-1)*k*beta) < p, exact integer check
@@ -112,10 +108,7 @@ def build_prime_reciprocal_set(spec: BaseSetSpec) -> tuple[ResidueSet, Distinctn
         )
 
     recips = [spec.field.recip_power(q, spec.k) for q in primes]
-    bits = np.zeros(p, dtype=bool)
-    for combo in combinations(recips, u):
-        bits[sum(combo) % p] = True
-    members = ResidueSet(spec.field, bits)
+    members = ResidueSet(spec.field, _bits((sum(combo) % p for combo in combinations(recips, u)), p))
 
     tuple_count = math.comb(len(primes), u)
     # u^den * p^((2u-1)*k*num) < p^den  <=>  p^((2u-1)*k*beta) < p/u.
@@ -155,8 +148,7 @@ def build_smooth_set(field: PrimeField, smoothness_bound: int) -> tuple[int, ...
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(_Value):
     contains_one: bool
     closed_under_product: bool  # s*t in S whenever s,t in S and s*t <= p-1
     closure_holds: bool  # both of the above

@@ -38,8 +38,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only the representation layer, which needs no numpy, is imported here; each
 # other subcommand imports its own layer, and csv and random, when it runs,
-# so --version, represent, nmax and scan start without them. The report
-# dataclasses are printed through vars(), so the CLI never loads dataclasses.
+# so --version, represent, nmax and scan start without them. No layer loads
+# dataclasses, and only expsum and large growth steps load numpy.
 from . import __version__  # noqa: E402 - the package itself imports nothing heavy
 from .errors import Error  # noqa: E402
 from .field import PrimeField, require_dense  # noqa: E402

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .convolve import cyclic_convolve_exact, cyclic_power_exact
 from .errors import BoundViolated, NonPositiveBeta
+from .field import _Value
 from .growth import product_counts, sumset
 from .sets import ResidueSet
 
@@ -34,12 +34,12 @@ def f_profile(t: ResidueSet) -> np.ndarray:
     as w is real), with f(0) = |T|^2 exact. T keeps it beside w, write-locked:
     the profile, the bound and the covering ranking all read this one
     transform, taken of w - |T|^2/p so the ranking can bound its error (below)."""
-    f = t._f_profile
+    f = vars(t).get("_f_profile")
     if f is None:
         f = np.conj(np.fft.rfft(pair_product_multiplicity(t) - t.card * t.card / t.field.p))
         f[0] = t.card * t.card
         f.setflags(write=False)
-        object.__setattr__(t, "_f_profile", f)
+        vars(t)["_f_profile"] = f
     return f
 
 
@@ -52,8 +52,7 @@ def _hermitian_weights(p: int) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class ExpSumProfile:
+class ExpSumProfile(_Value):
     """|f(a)| for a = 0..p//2, f(0) = |T|^2, and the relative deviation of
     sum_a |f(a)|^2 from Parseval's p * sum_m w[m]^2."""
 
@@ -84,8 +83,7 @@ def exp_sum_profile(t: ResidueSet) -> ExpSumProfile:
 _BILINEAR_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class BilinearReport:
+class BilinearReport(_Value):
     max_ratio: float  # max over a != 0 of |f(a)| / (sqrt(p) * |T|)
     worst_a: int
     holds: bool
@@ -138,11 +136,11 @@ def pair_product_multiplicity(t: ResidueSet) -> np.ndarray:
     The profile, the covering counts and the minimal-J search all start from
     this vector, so T keeps it, write-locked, and frees it with itself.
     """
-    w = t._pair_products
+    w = vars(t).get("_pair_products")
     if w is None:
         w = product_counts(t, t)
         w.setflags(write=False)
-        object.__setattr__(t, "_pair_products", w)
+        vars(t)["_pair_products"] = w
     return w
 
 
@@ -319,8 +317,7 @@ def covering_counts_fourier(t: ResidueSet, j: int) -> list[int]:
     return [int(round(c)) for c in counts]
 
 
-@dataclass(frozen=True)
-class CoveringPositivity:
+class CoveringPositivity(_Value):
     J: int
     min_count: int
     min_residue: int

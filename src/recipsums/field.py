@@ -7,13 +7,16 @@ module owns DENSE_P_MAX, the dense-modulus ceiling up to which the
 discrete-log tables are exact in int64.
 A field builds its discrete-log tables on first use and keeps them for as
 long as it lives: there is no table cache shared across fields.
-numpy is imported by dlog_tables only, so the representation layer, which
-does not use it, runs without it.
+The module also holds the read-only value class of the package and the
+forms of a set of residues that the pure-Python kernels share: a bitmap
+(bit r stands for residue r), its ascending members and its byte flags.
+Nothing here imports numpy but dlog_tables, which the numpy kernels call.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .errors import NotInvertible, NotPrime
@@ -35,9 +38,22 @@ def require_dense(n: int) -> None:
 
 class _Value:
     """Fields set once, through vars(self), then compared, hashed and printed
-    by value and read-only: a frozen dataclass without importing dataclasses."""
+    by value and read-only: a frozen dataclass without importing dataclasses.
+    The fields are _fields, or else those annotated in the class body; the
+    default constructor takes them as a dataclass does, with class attributes
+    as defaults."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = vars(cls).get("_fields") or tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, cls = self._fields, type(self)
+        given = {**{n: getattr(cls, n) for n in names if hasattr(cls, n)}, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or given.keys() != set(names) or kwargs.keys() & set(names[: len(args)]):
+            raise TypeError(f"{cls.__name__} takes each of the fields {', '.join(names)} once")
+        vars(self).update({n: given[n] for n in names})
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -97,6 +113,46 @@ class PrimeField(_Value):
         powers.setflags(write=False)
         dlog.setflags(write=False)
         return powers, dlog
+
+
+# A 0/1 flag as the binary digit it stands for, or as the digit of its
+# complement, and back; a byte as whether it is nonzero.
+_ONE_TO_ONE = bytes.maketrans(b"\x00\x01", b"01")
+_ZERO_TO_ONE = bytes.maketrans(b"\x00\x01", b"10")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _bits(residues, p: int) -> int:
+    """The bitmap of some residues: bit r stands for residue r."""
+    packed = bytearray((p + 7) >> 3)
+    for r in residues:
+        packed[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _members(bits: int, p: int) -> list[int]:
+    """The residues of a bitmap, ascending. C code lists the flags of a dense
+    bitmap, or finds the nonzero bytes of a sparse one."""
+    if bits.bit_count() > p >> 5:
+        return list(compress(range(p), _flags(bits, p)))
+    packed = bits.to_bytes((p + 7) >> 3, "little")
+    nonzero = packed.translate(_NONZERO)
+    out: list[int] = []
+    i = nonzero.find(1)
+    while i >= 0:
+        byte, r = packed[i], i << 3
+        while byte:
+            low = byte & -byte
+            out.append(r + low.bit_length() - 1)
+            byte ^= low
+        i = nonzero.find(1, i + 1)
+    return out
+
+
+def _flags(bits: int, p: int) -> bytearray:
+    """The flags of a bitmap, one byte per residue, from its binary digits."""
+    return bytearray(bin(bits)[:1:-1], "ascii").ljust(p, b"0").translate(_FROM_DIGITS)
 
 
 def primitive_root(p: int) -> int:

@@ -5,46 +5,61 @@ the larger (ties go to the productset). Iteration stops once the
 cardinality exceeds p raised to a configured exponent, compared in exact
 integer arithmetic. The trace records the per-step empirical growth
 exponent together with the term-count and height bookkeeping implied by
-doubling the number of summed terms at every step. Dense productsets take
-their discrete logs from the field's own tables (PrimeField.dlog_tables),
-so a run builds them at most once and drops them with the field.
+doubling the number of summed terms at every step. Each sumset and
+productset runs the kernel priced cheapest: in plain Python, shifted ORs of
+bitmaps or a loop over pairs; in numpy, which a kernel pays to import, an
+enumeration of the pairs or a convolution (for products, of the discrete
+logs in the field's own tables, PrimeField.dlog_tables).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .convolve import cyclic_convolve_exact
 from .errors import IterationCap, NonPositiveTheta, Stalled
+from .field import _ONE_TO_ONE, _Value
 from .intmath import exceeds_power
 from .sets import ResidueSet, require_same_field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Direct enumeration of the |A|*|B| pairs costs about the same as one
 # length-p convolution at |A|*|B| = 40p to 60p (measured at p = 20149, 99929
 # and 1000003, for sums and products alike); below this many pairs per
 # residue it is at least 1.3 times faster.
 _NAIVE_PAIRS_PER_RESIDUE = 32
+# Prices in nanoseconds, fitted at p = 10^4 to 10^6 (2 shared vCPUs, Python
+# 3.11, numpy 2.4): numpy's import, paid while it is not loaded; a Python sum,
+# per member of the smaller set; a Python product; a numpy kernel.
+_IMPORT_NS = 60e6
+_SHIFT_NS = (200, 0.035)  # fixed; per residue of Z/pZ
+_PRODUCT_NS = (65, 3)  # per pair; per residue of Z/pZ
+_NUMPY_NS = (6, 340)  # per pair enumerated; per residue of Z/pZ convolved
 
 SUM = "sum"
 PRODUCT = "product"
 
 
-# ---------------------------------------------------------------------------
-# sumset kernels
+def _kernel(a: ResidueSet, b: ResidueSet, python_ns: float, python, naive, dense) -> ResidueSet:
+    """The Python kernel, or the numpy one the size rule picks if that is cheaper."""
+    pairs, p = a.card * b.card, require_same_field(a, b).p
+    enumerate_pays = pairs <= _NAIVE_PAIRS_PER_RESIDUE * p
+    numpy_ns = _NUMPY_NS[0] * pairs if enumerate_pays else _NUMPY_NS[1] * p
+    if python_ns <= numpy_ns + ("numpy" not in sys.modules) * _IMPORT_NS:
+        return python(a, b)
+    return naive(a, b) if enumerate_pays else dense(a, b)
 
 
-def _naive_pays(a: ResidueSet, b: ResidueSet) -> bool:
-    return a.card * b.card <= _NAIVE_PAIRS_PER_RESIDUE * require_same_field(a, b).p
-
-
-def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: np.ufunc) -> ResidueSet:
+def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: str) -> ResidueSet:
     """{op(x, y) mod p} over all member pairs, in blocks of rows of about p
     pairs each, computed into one reused buffer so the peak stays O(p)."""
+    import numpy as np
+
     p = require_same_field(a, b).p
     am, bm = a.members(), b.members()
     bits = np.zeros(p, dtype=bool)
@@ -52,37 +67,65 @@ def _enumerate_pairs(a: ResidueSet, b: ResidueSet, op: np.ufunc) -> ResidueSet:
     buffer = np.empty((min(rows, am.size), bm.size), dtype=np.int64)
     for start in range(0, am.size, rows):
         block = buffer[: am.size - start]
-        op(am[start : start + rows, None], bm[None, :], out=block)
+        getattr(np, op)(am[start : start + rows, None], bm[None, :], out=block)
         block %= p
         bits[block.ravel()] = True
     return ResidueSet(a.field, bits)
 
 
+# ---------------------------------------------------------------------------
+# sumset kernels
+
+
+def _shifted_sum(a: ResidueSet, b: ResidueSet) -> ResidueSet:
+    """{x + y mod p}: the OR of one bitmap shifted by each member of the
+    smaller set, with the bits at p and above folded back."""
+    p = require_same_field(a, b).p
+    small, large = (a, b) if a.card <= b.card else (b, a)
+    total = 0
+    for x in small.to_list():
+        total |= large.bits << x
+    return ResidueSet(a.field, total & (1 << p) - 1 | total >> p)
+
+
 def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod p} by direct enumeration of all member pairs."""
-    return _enumerate_pairs(a, b, np.add)
+    return _enumerate_pairs(a, b, "add")
 
 
 def sumset_conv(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod p} via exact cyclic convolution of characteristic vectors."""
+    from .convolve import cyclic_convolve_exact
+
     p = require_same_field(a, b).p
-    return ResidueSet(a.field, cyclic_convolve_exact(a.bits, b.bits, p) > 0)
+    x = a._vector()  # one vector for A+A: packed once
+    return ResidueSet(a.field, cyclic_convolve_exact(x, x if b is a else b._vector(), p) > 0)
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """Sumset A+B; kernel chosen by size, results identical either way."""
-    if _naive_pays(a, b):
-        return sumset_naive(a, b)
-    return sumset_conv(a, b)
+    """Sumset A+B; kernel chosen by price, results identical either way."""
+    shifts = min(a.card, b.card) * (_SHIFT_NS[0] + _SHIFT_NS[1] * a.field.p)
+    return _kernel(a, b, shifts, _shifted_sum, sumset_naive, sumset_conv)
 
 
 # ---------------------------------------------------------------------------
 # productset kernels
 
 
+def _paired_products(a: ResidueSet, b: ResidueSet) -> ResidueSet:
+    """{x * y mod p} by a loop over member pairs, each unordered one once for A*A."""
+    p = require_same_field(a, b).p
+    flags, am = bytearray(p), a.to_list()
+    bm = am if b is a else b.to_list()
+    for i, x in enumerate(am):
+        for y in bm[i:] if b is a else bm:
+            flags[x * y % p] = 1
+    return ResidueSet(a.field, int(flags.translate(_ONE_TO_ONE)[::-1], 2))
+
+
 def productset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x * y mod p} by direct enumeration of all member pairs."""
-    return _enumerate_pairs(a, b, np.multiply)
+    return _enumerate_pairs(a, b, "multiply")
 
 
 def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
@@ -90,6 +133,10 @@ def product_counts(a: ResidueSet, b: ResidueSet) -> np.ndarray:
     logs make the nonzero products an additive cyclic convolution on
     Z/(p-1)Z; every pair with a zero factor lands on 0. The tables come
     from the field, which builds them once."""
+    import numpy as np
+
+    from .convolve import cyclic_convolve_exact
+
     field = require_same_field(a, b)
     p = field.p
     powers, dlog = field.dlog_tables
@@ -114,18 +161,17 @@ def productset_dlog(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
 
 def productset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """Productset A*B; kernel chosen by size, results identical either way."""
-    if _naive_pays(a, b):
-        return productset_naive(a, b)
-    return productset_dlog(a, b)
+    """Productset A*B; kernel chosen by price, results identical either way."""
+    pairs = (a.card * (a.card + 1) // 2) if b is a else a.card * b.card
+    loop = _PRODUCT_NS[0] * pairs + _PRODUCT_NS[1] * a.field.p
+    return _kernel(a, b, loop, _paired_products, productset_naive, productset_dlog)
 
 
 # ---------------------------------------------------------------------------
 # growth iteration
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
+class GrowthConfig(_Value):
     """Stopping rule for the growth iteration.
 
     threshold_exponent r means: stop once card > p**r, evaluated exactly
@@ -135,15 +181,15 @@ class GrowthConfig:
     threshold_exponent: Fraction = Fraction(2, 3)
     max_iters: int = 64
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not (0 < self.threshold_exponent < 1):
             raise ValueError("threshold_exponent must be in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class GrowthStep:
+class GrowthStep(_Value):
     op: str  # SUM or PRODUCT
     size_before: int
     size_after: int
@@ -163,8 +209,7 @@ def _tower(u: int, d: int) -> int | None:
     return u ** (2**d)
 
 
-@dataclass(frozen=True)
-class GrowthTrace:
+class GrowthTrace(_Value):
     """Record of one growth run, with term-complexity bookkeeping.
 
     After n steps every element is a sum of at most max(u, 2)**(2**n) terms
@@ -199,8 +244,8 @@ def grow_step(s: ResidueSet) -> tuple[ResidueSet, str]:
     """One step: the larger of S+S and S*S, productset on ties."""
     if s.card == 0:
         raise ValueError("growth step requires a nonempty set")
+    times = productset(s, s)  # first: where it loads numpy, the sumset need not pay for that
     plus = sumset(s, s)
-    times = productset(s, s)
     if plus.card > times.card:
         return plus, SUM
     return times, PRODUCT

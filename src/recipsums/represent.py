@@ -42,10 +42,10 @@ import time
 from array import array
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 
 from .errors import Error
-from .field import PrimeField, _Value, require_dense
+from .field import _ONE_TO_ONE, _ZERO_TO_ONE, PrimeField, _bits, _flags, _members, _Value, require_dense
 from .intmath import pow_floor
 
 
@@ -296,45 +296,6 @@ class _Base:
     def negated(self) -> int:
         """G's bits reversed, bit g to bit p - 1 - g, then shifted to p - g."""
         return int(bin(self.bits)[:1:-1].ljust(self.p, "0"), 2) << 1
-
-
-# A 0/1 flag as the binary digit it stands for, or as the digit of its complement.
-_ONE_TO_ONE = bytes.maketrans(b"\x00\x01", b"01")
-_ZERO_TO_ONE = bytes.maketrans(b"\x00\x01", b"10")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_NONZERO = bytes([0] + [1] * 255)  # a byte as whether it is nonzero
-
-
-def _bits(residues, p: int) -> int:
-    """The bitmap of some residues: bit r stands for residue r."""
-    packed = bytearray((p + 7) >> 3)
-    for r in residues:
-        packed[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(packed, "little")
-
-
-def _members(bits: int, p: int) -> list[int]:
-    """The residues of a bitmap, ascending. C code lists the flags of a dense
-    bitmap, or finds the nonzero bytes of a sparse one."""
-    if bits.bit_count() > p >> 5:
-        return list(compress(range(p), _flags(bits, p)))
-    packed = bits.to_bytes((p + 7) >> 3, "little")
-    nonzero = packed.translate(_NONZERO)
-    out: list[int] = []
-    i = nonzero.find(1)
-    while i >= 0:
-        byte, r = packed[i], i << 3
-        while byte:
-            low = byte & -byte
-            out.append(r + low.bit_length() - 1)
-            byte ^= low
-        i = nonzero.find(1, i + 1)
-    return out
-
-
-def _flags(bits: int, p: int) -> bytearray:
-    """The flags of a bitmap, one byte per residue, from its binary digits."""
-    return bytearray(bin(bits)[:1:-1], "ascii").ljust(p, b"0").translate(_FROM_DIGITS)
 
 
 # Cost model of one BFS level, in nanoseconds, fitted to timings of each kernel

@@ -1,87 +1,76 @@
-"""Dense subsets of Z/pZ backed by a boolean characteristic vector, which
-the one constructor copies and write-locks, so no caller can change a set."""
+"""Subsets of Z/pZ as read-only values over a Python-int bitmap: bit r stands
+for residue r. The constructor also packs a 0/1 vector of length p, as the
+numpy kernels give, and only that and the vector forms import numpy."""
 
 from __future__ import annotations
 
-import dataclasses
 from functools import cached_property
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import FieldMismatch
-from .field import PrimeField, require_dense
+from .field import PrimeField, _bits, _members, _Value, require_dense
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
-@dataclasses.dataclass(frozen=True)
-class ResidueSet:
-    """An immutable subset of Z/pZ with cached cardinality.
+class ResidueSet(_Value):
+    """An immutable subset of Z/pZ with cached cardinality."""
 
-    The characteristic vector has length exactly p and is write-locked
-    after construction; all set operations allocate fresh results.
-    """
+    _fields = ("field", "bits")
 
-    field: PrimeField
-    bits: np.ndarray
-    # expsums.pair_product_multiplicity and expsums.f_profile of the set, once computed.
-    _pair_products: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
-    _f_profile: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
+    def __init__(self, field: PrimeField, bits: int | np.ndarray) -> None:
+        if not isinstance(bits, int):  # a 0/1 vector: its nonzero entries are the members
+            import numpy as np
 
-    def __post_init__(self) -> None:
-        # np.array always copies, so the caller keeps no handle on the bitmap.
-        bits = np.array(self.bits, dtype=bool)
-        if bits.shape != (self.field.p,):
-            raise ValueError(f"characteristic vector must be bool of length {self.field.p}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+            if np.shape(bits) != (field.p,):
+                raise ValueError(f"characteristic vector must have length {field.p}")
+            bits = int.from_bytes(np.packbits(np.asarray(bits, dtype=bool), bitorder="little").tobytes(), "little")
+        elif bits < 0 or bits.bit_length() > field.p:
+            raise ValueError(f"bitmap must hold residues below {field.p} only")
+        vars(self).update(field=field, bits=bits)
 
     @cached_property
     def card(self) -> int:
-        return int(self.bits.sum())
+        return self.bits.bit_count()
 
     @classmethod
     def from_members(cls, field: PrimeField, members: Iterable[int]) -> "ResidueSet":
         require_dense(field.p)
-        bits = np.zeros(field.p, dtype=bool)
-        if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
-            idx = members % field.p
-        else:
-            idx = np.fromiter((m % field.p for m in members), dtype=np.int64, count=-1)
-        if idx.size:
-            bits[idx] = True
-        return cls(field, bits)
+        return cls(field, _bits((int(m) % field.p for m in members), field.p))
 
     @classmethod
     def empty(cls, field: PrimeField) -> "ResidueSet":
-        return cls(field, np.zeros(field.p, dtype=bool))
+        return cls(field, 0)
 
     @classmethod
     def full(cls, field: PrimeField) -> "ResidueSet":
-        return cls(field, np.ones(field.p, dtype=bool))
+        return cls(field, (1 << field.p) - 1)
+
+    def _vector(self) -> np.ndarray:
+        """The characteristic vector, as bool of length p."""
+        import numpy as np
+
+        packed = np.frombuffer(self.bits.to_bytes((self.field.p + 7) >> 3, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.field.p, bitorder="little").view(bool)
 
     def members(self) -> np.ndarray:
         """Member residues in ascending order, as an int64 array."""
-        return np.flatnonzero(self.bits).astype(np.int64)
+        import numpy as np
+
+        return np.flatnonzero(self._vector()).astype(np.int64)
 
     def to_list(self) -> list[int]:
-        return [int(m) for m in np.flatnonzero(self.bits)]
+        return _members(self.bits, self.field.p)
 
     def __contains__(self, value: int) -> bool:
-        return bool(self.bits[value % self.field.p])
+        return bool(self.bits >> value % self.field.p & 1)
 
     def __len__(self) -> int:
         return self.card
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.to_list())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidueSet):
-            return NotImplemented
-        return self.field == other.field and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self):
-        return hash((self.field.p, self.bits.tobytes()))
 
     def __repr__(self) -> str:
         if self.card <= 12:

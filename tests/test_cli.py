@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -435,7 +434,7 @@ def test_reports_are_printed_as_their_dataclasses(capsys):
     from recipsums import BilinearReport, CoveringPositivity, GrowthStep, MultiplicativityReport
 
     def names(cls):
-        return {f.name for f in dataclasses.fields(cls)}
+        return set(cls._fields)
 
     result = run_json(capsys, "expsum", "--p", "101", "--grow", "--k", "1", "--beta", "1/4", "--auto-J")["result"]
     assert set(result["bilinear"]) == names(BilinearReport)
@@ -551,7 +550,9 @@ def test_representation_commands_start_without_numpy():
     """--version, represent, nmax and scan import only the representation
     layer: no numpy, none of the layers of the other subcommands, and neither
     dataclasses, csv nor, for a scan too small to repay it, the process pool;
-    the exhaustive oracle only under --oracle. grow still loads numpy."""
+    the exhaustive oracle only under --oracle. grow, baseset and smoothset
+    load neither numpy, dataclasses, convolve nor expsums; expsum loads
+    numpy; no command loads dataclasses."""
     out = _fresh_python(
         "import os, sys\n"
         "from recipsums.cli import main\n"
@@ -570,11 +571,18 @@ def test_representation_commands_start_without_numpy():
         "loaded = [name for name in layers if name in sys.modules]\n"
         "main('represent --p 97 --k 2 --epsilon 1/2 --a 13 --oracle'.split())\n"
         "oracle = 'recipsums.bruteforce' in sys.modules and 'numpy' not in sys.modules\n"
-        "main('grow --p 1009 --k 1 --beta 1/4'.split())\n"
+        "codes += [main(argv.split()) for argv in (\n"
+        "    'grow --p 1009 --k 1 --beta 1/4',\n"
+        "    'baseset --p 99929 --k 1 --beta 1/6 --list-members',\n"
+        "    'smoothset --p 1009 --bound 7 --epsilon 1/2 --theta 1/3',\n"
+        ")]\n"
+        "heavy = ('numpy', 'dataclasses', 'recipsums.convolve', 'recipsums.expsums')\n"
+        "sets = [name for name in heavy if name in sys.modules]\n"
+        "codes.append(main('expsum --p 101 --members 1,2,3 --J 2'.split()))\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(codes, loaded, oracle, 'numpy' in sys.modules)"
+        "print(codes, loaded, oracle, sets, 'numpy' in sys.modules, 'dataclasses' in sys.modules)"
     )
-    assert out == "[0, 0, 0, 0, 0] [] True True"
+    assert out == "[0, 0, 0, 0, 0, 0, 0, 0, 0] [] True [] True False"
 
 
 def test_parser_builds_only_the_named_subcommand_with_unchanged_help(capsys):

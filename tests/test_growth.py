@@ -334,10 +334,14 @@ def test_naive_kernels_across_block_edges():
 
 
 def test_dispatch_switches_at_pairs_per_residue(monkeypatch):
+    """Where the Python kernels are priced out, the numpy kernels switch from
+    enumerating pairs to convolving above _NAIVE_PAIRS_PER_RESIDUE pairs per residue."""
     calls = []
     for name in ("sumset_naive", "sumset_conv", "productset_naive", "productset_dlog"):
         kernel = getattr(growth, name)
         monkeypatch.setattr(growth, name, lambda a, b, k=kernel, n=name: calls.append(n) or k(a, b))
+    monkeypatch.setattr(growth, "_SHIFT_NS", (math.inf, 0))
+    monkeypatch.setattr(growth, "_PRODUCT_NS", (math.inf, 0))
     p = 101
     limit = growth._NAIVE_PAIRS_PER_RESIDUE * p
     rng = random.Random(4243)
@@ -356,22 +360,28 @@ def test_dispatch_switches_at_pairs_per_residue(monkeypatch):
 
 
 def test_kernel_results_are_locked_and_callers_arrays_copied():
+    """A set is an int bitmap no caller can change; a 0/1 vector passed to
+    the constructor is packed, so later writes to it do not reach the set."""
     field = PrimeField(7)
     bits = np.zeros(7, dtype=bool)
     bits[[1, 3]] = True
     s = ResidueSet(field, bits)
     bits[2] = True
-    assert s.to_list() == [1, 3] and bits.flags.writeable
+    assert s.to_list() == [1, 3] and s.bits == 0b1010 and bits.flags.writeable
     assert ResidueSet(field, np.array([0, 1, 0, 0, 0, 0, 2], dtype=np.uint8)).to_list() == [1, 6]
-    with pytest.raises(ValueError):
-        ResidueSet(field, np.zeros(6, dtype=bool))
-    a = rset(7, [1, 2])
-    built = [sumset_naive(a, a), sumset_conv(a, a), productset_naive(a, a), productset_dlog(a, a),
-             ResidueSet.empty(field), ResidueSet.full(field), rset(7, [5])]
-    for t in built:
-        assert not t.bits.flags.writeable
+    assert ResidueSet(field, 0b1000001) == rset(7, [0, 6])
+    for bad in (np.zeros(6, dtype=bool), 1 << 7, -1):
         with pytest.raises(ValueError):
-            t.bits[0] = True
+            ResidueSet(field, bad)
+    a = rset(7, [1, 2])
+    built = [growth._shifted_sum(a, a), sumset_naive(a, a), sumset_conv(a, a), growth._paired_products(a, a),
+             productset_naive(a, a), productset_dlog(a, a), ResidueSet.empty(field), ResidueSet.full(field),
+             rset(7, [5])]
+    for t in built:
+        assert type(t.bits) is int
+        for change in (lambda: setattr(t, "bits", 0), lambda: delattr(t, "bits"), lambda: setattr(t, "card", 0)):
+            with pytest.raises(AttributeError):
+                change()
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -384,8 +394,10 @@ def test_every_set_is_built_by_the_copying_constructor(monkeypatch, dense):
         built.append(self)
 
     monkeypatch.setattr(ResidueSet, "__init__", counted)
-    if dense:
+    if dense:  # the numpy kernels that convolve, else the Python ones
         monkeypatch.setattr(growth, "_NAIVE_PAIRS_PER_RESIDUE", 0)
+        monkeypatch.setattr(growth, "_SHIFT_NS", (math.inf, 0))
+        monkeypatch.setattr(growth, "_PRODUCT_NS", (math.inf, 0))
     field = PrimeField(101)
     a = rset(101, [1, 2, 3, 5, 8])
     builders = {
@@ -401,4 +413,4 @@ def test_every_set_is_built_by_the_copying_constructor(monkeypatch, dense):
         built.clear()
         t = build()
         assert built and built[-1] is t, name
-        assert not t.bits.flags.writeable, name
+        assert type(t.bits) is int, name

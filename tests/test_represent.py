@@ -57,12 +57,14 @@ def minimal_layer_counts(pr):
     layers are iterated sumsets with the base, built in a loop: a deep BFS
     has thousands of levels, too many for exact_layer's recursion."""
     base = base_reciprocals(pr)
-    counts = np.zeros(pr.field.p, dtype=np.int64)
+    counts, reached = [0] * pr.field.p, ResidueSet.empty(pr.field)
     layer, j = base, 1
     while True:
-        counts[layer.bits & (counts == 0)] = j
-        if counts.all():
-            return counts.tolist()
+        for r in ResidueSet(pr.field, layer.bits & ~reached.bits):
+            counts[r] = j
+        reached = ResidueSet(pr.field, reached.bits | layer.bits)
+        if reached == ResidueSet.full(pr.field):
+            return counts
         layer, j = sumset(layer, base), j + 1
 
 

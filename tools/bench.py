@@ -13,9 +13,11 @@ alternates from round to round. There are three kinds of case:
 
 - command: ``python -m recipsums ARGS``, timed from spawn to exit (wall_s),
   with the child's peak RSS (rss_mb). The commands are ``--version``, the
-  three ``scan`` commands of the benchmark's scan workload
-  (``perfbench/workloads.generate("scan", S)``) and the commands of the
-  ROADMAP's table of where things stand. Their stdout must match.
+  four commands of the benchmark's sumprod workload and the three of its
+  scan workload (``perfbench/workloads.generate(NAME, S)``), and the
+  commands of the ROADMAP's table of where things stand. Their stdout must
+  match. ``--first 4`` thus times a start, both ``grow`` shapes and the
+  ``expsum --grow`` shape.
 - bfs: a probe times build_layer_table over every prime of a rung, on fresh
   problems, as ``scan`` pays for it (bfs_s); then the first read of each
   table's distance array, which ``represent`` and ``nmax`` pay on top
@@ -143,7 +145,8 @@ def cases(seed: int) -> dict[str, list[tuple[str, list[str]]]]:
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    commands = [["--version"], *workloads.generate("scan", seed), *(line.split() for line in TABLE)]
+    commands = [["--version"], *workloads.generate("sumprod", seed), *workloads.generate("scan", seed),
+                *(line.split() for line in TABLE)]
     return {
         "command": [(" ".join(argv), ["-m", "recipsums", *argv]) for argv in commands],
         "bfs": [(name, ["-c", f"import bench; bench.bfs_probe{tuple(args)!r}"]) for name, *args in RUNGS],
